@@ -157,6 +157,7 @@ def apply_structure_guidance(
     matrix: np.ndarray,
     mask: np.ndarray,
     threshold: float = 0.5,
+    quantise: bool = False,
 ) -> np.ndarray:
     """Project a continuous generated matrix onto a structure mask.
 
@@ -165,25 +166,40 @@ def apply_structure_guidance(
     range so quantisation keeps them.  This is the hard inference-time
     constraint that guarantees Fig. 2's "all packets strictly conform to
     the dominant protocol type".
+
+    ``matrix`` is one ``(P, 1088)`` matrix or a ``(n, P, 1088)`` batch,
+    projected in one broadcast pass.  ``quantise=True`` returns the int8
+    ternary matrix instead, equal to
+    ``quantize_matrix(apply_structure_guidance(matrix, mask))`` but
+    without materialising the float projection.
     """
-    matrix = np.asarray(matrix, dtype=np.float64).copy()
-    mask = np.asarray(mask, dtype=np.float64)
-    if matrix.ndim != 2 or matrix.shape[1] != mask.shape[0]:
-        raise ValueError("matrix/mask shape mismatch")
-    # Padding rows (trailing all-vacant rows of the fixed-height image)
-    # must stay padding.  Detection uses the *fixed* 20-byte IPv4 span:
-    # always present (mean ~0.2) on packet rows, all vacant (-1) on
-    # padding rows.  The full region would mislead — its 40 option bytes
-    # are usually vacant, dragging packet rows to ~-0.58.
-    ipv4 = REGION_SLICES["ipv4"]
-    row_mean = matrix[:, ipv4.start : ipv4.start + 160].mean(axis=1)
-    packet_rows = row_mean > -0.5
-    off = mask < threshold
-    on = ~off
-    matrix[np.ix_(packet_rows, off)] = -1.0
-    # Pull occupied columns of packet rows out of the vacant band.
-    matrix[np.ix_(packet_rows, on)] = np.clip(
-        matrix[np.ix_(packet_rows, on)], 0.0, 1.0
-    )
-    matrix[~packet_rows, :] = -1.0
-    return matrix
+    with perf.timer("emit.guidance"):
+        matrix = np.asarray(matrix)
+        if not quantise or matrix.dtype != np.float32:
+            matrix = np.asarray(matrix, dtype=np.float64)
+        mask = np.asarray(mask, dtype=np.float64)
+        if matrix.ndim not in (2, 3) or matrix.shape[-1] != mask.shape[0]:
+            raise ValueError("matrix/mask shape mismatch")
+        # Padding rows (trailing all-vacant rows of the fixed-height image)
+        # must stay padding.  Detection uses the *fixed* 20-byte IPv4 span:
+        # always present (mean ~0.2) on packet rows, all vacant (-1) on
+        # padding rows.  The full region would mislead — its 40 option
+        # bytes are usually vacant, dragging packet rows to ~-0.58.
+        ipv4 = REGION_SLICES["ipv4"]
+        # The mean is taken in float64 over each contiguous 160-wide row,
+        # so borderline rows resolve the same whatever the batch shape.
+        row_mean = matrix[..., ipv4.start : ipv4.start + 160].astype(
+            np.float64).mean(axis=-1)
+        # Occupied columns of packet rows keep their (clipped) values;
+        # everything else is vacant.
+        keep = (row_mean > -0.5)[..., None] & ~(mask < threshold)
+        if quantise:
+            # clip(x, 0, 1) >= 0.5  <=>  x >= 0.5, exact in float32 too.
+            # Kept cells hold the bit, the rest VACANT: bit*keep + keep - 1.
+            out = (matrix >= 0.5).view(np.int8)
+            keep = keep.view(np.int8)
+            out *= keep
+            out += keep
+            out -= 1
+            return out
+        return np.where(keep, np.clip(matrix, 0.0, 1.0), -1.0)

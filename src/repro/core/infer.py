@@ -384,8 +384,10 @@ class CompiledDenoiser:
         rows = x.shape[0]
         hid = self.hidden
         dt = self.dtype
-        perf.incr("infer.forward")
-        perf.incr("infer.rows", rows)
+        # Same names as the eager denoiser, so a forward is counted as
+        # one whichever engine ran it.
+        perf.incr("denoiser.forward")
+        perf.incr("denoiser.rows", rows)
         pool = self.pool
         h = pool.take((rows, hid), dt)
         a = pool.take((rows, hid), dt)

@@ -50,6 +50,7 @@ from repro.core.staterepair import repair_flows_state
 from repro import perf
 from repro.ml.nn import Adam, Tensor, mse_loss
 from repro.net.flow import Flow
+from repro.net.flowbatch import FlowBatch
 from repro.nprint.encoder import (
     encode_flow,
     encode_flows,
@@ -194,8 +195,10 @@ class GenerationResult:
     large intermediates across the process boundary.
     """
 
-    flows: list[Flow]
-    # ternary-quantised, structure-repaired is in flows
+    #: a lazy Sequence[Flow] over packet columns
+    flows: FlowBatch
+    #: (n, P, 1088) int8 ternary tensor, structure-repaired: the nprint
+    #: matrices ``flows`` were decoded from (before any state repair)
     matrices: np.ndarray | None
     continuous: np.ndarray | None
     gaps: np.ndarray | None
@@ -852,32 +855,45 @@ class TextToTrafficPipeline:
         The second half of :meth:`generate_raw`, shared verbatim with the
         streaming path so chunked generation is byte-identical to batch.
         """
-        n = len(latents)
         with perf.timer("pipeline.finalize_latents"):
             vectors = self.codec.decode(latents)
-            continuous, gap_channels = self._devectorize(vectors)
-            mask = self.class_masks[class_name]
-            flows: list[Flow] = []
-            quantised = []
-            for i in range(n):
-                cont = continuous[i]
-                if hard_guidance:
-                    cont = apply_structure_guidance(cont, mask)
-                decoded = matrix_to_flow(
-                    cont, gaps_channel=gap_channels[i], label=class_name
-                )
-                flows.append(decoded.flow)
-                quantised.append(cont)
+            result = self._emit(vectors, class_name, hard_guidance)
             if state_repair:
                 # Batch repair assigns distinct client ports so flows from
                 # one generation call never collide on a 5-tuple at replay.
-                flows = repair_flows_state(flows, rng or self._rng)
-            gaps = channel_to_gaps(gap_channels)
+                result.flows = repair_flows_state(result.flows,
+                                                  rng or self._rng)
+        return result
+
+    def _emit(
+        self,
+        vectors: np.ndarray,
+        class_name: str,
+        hard_guidance: bool,
+    ) -> GenerationResult:
+        """Decoded codec vectors -> one columnar FlowBatch (no state repair).
+
+        Guidance and quantisation, structure repair and decoding each run
+        once over the whole ``(n, P, 1088)`` tensor.
+        """
+        continuous, gap_channels = self._devectorize(vectors)
+        if hard_guidance:
+            ternary = apply_structure_guidance(
+                continuous, self.class_masks[class_name], quantise=True
+            )
+        else:
+            ternary = continuous  # quantised by matrix_to_flow
+        flows = matrix_to_flow(
+            ternary, gaps_channel=gap_channels, label=class_name
+        )
+        # The repaired ternary tensor moves to the result, so flows
+        # handed on alone do not keep it alive.
+        matrices, flows.matrices = flows.matrices, None
         return GenerationResult(
             flows=flows,
-            matrices=np.stack(quantised),
+            matrices=matrices,
             continuous=continuous,
-            gaps=gaps,
+            gaps=channel_to_gaps(gap_channels),
             label=class_name,
         )
 
@@ -1116,8 +1132,9 @@ class TextToTrafficPipeline:
         share a single sampler batch — one denoiser forward per DDIM step
         for the whole group instead of one per request — but every part
         draws its initial latents and per-step noise from its *own*
-        generator (:class:`_SegmentedRNG`), and the post-sampling decode /
-        guidance / state-repair runs per part with that part's rng.
+        generator (:class:`_SegmentedRNG`).  Guidance, repair and decoding
+        run once over the whole group; state repair runs per part with
+        that part's rng.
 
         Determinism contract (pinned by ``tests/test_serve.py``): each
         part's flows are byte-identical to a solo
@@ -1155,15 +1172,28 @@ class TextToTrafficPipeline:
             )
         perf.incr("pipeline.sampled_flows", total)
         perf.incr("pipeline.coalesced_parts", len(parts))
+        # The codec decodes each part's rows on their own: a GEMM's
+        # rounding depends on its row count, and each part must match a
+        # solo run.  Everything after it is row-exact, so it runs once.
+        bounds = np.cumsum([0] + counts)
         results: list[GenerationResult] = []
-        offset = 0
-        for count, rng in parts:
-            results.append(self._finalize_latents(
-                latents[offset:offset + count], class_name,
-                hard_guidance=hard_guidance, state_repair=state_repair,
-                rng=rng,
-            ))
-            offset += count
+        with perf.timer("pipeline.finalize_latents"):
+            vectors = np.concatenate([
+                self.codec.decode(latents[lo:hi])
+                for lo, hi in zip(bounds[:-1], bounds[1:])
+            ])
+            whole = self._emit(vectors, class_name, hard_guidance)
+            for (_, rng), lo, hi in zip(parts, bounds[:-1], bounds[1:]):
+                flows = whole.flows[lo:hi]
+                if state_repair:
+                    flows = repair_flows_state(flows, rng)
+                results.append(GenerationResult(
+                    flows=flows,
+                    matrices=whole.matrices[lo:hi],
+                    continuous=whole.continuous[lo:hi],
+                    gaps=whole.gaps[lo:hi],
+                    label=class_name,
+                ))
         return results
 
     def generate(
@@ -1173,7 +1203,7 @@ class TextToTrafficPipeline:
         **kwargs,
     ) -> list[Flow]:
         """Generate ``n`` labelled synthetic flows for ``class_name``."""
-        return self.generate_raw(class_name, n, **kwargs).flows
+        return list(self.generate_raw(class_name, n, **kwargs).flows)
 
     def generate_balanced(
         self, n_per_class: int, **kwargs

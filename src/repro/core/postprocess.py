@@ -19,9 +19,10 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro import perf
 from repro.imaging.colormap import continuous_to_ternary
 from repro.net.flow import Flow
-from repro.nprint.decoder import DecodedFlow, decode_flow
+from repro.nprint.decoder import decode_flow
 from repro.nprint.fields import (
     FIELDS,
     NPRINT_BITS,
@@ -106,20 +107,20 @@ def _align_options(row: np.ndarray, fs) -> None:
             break
 
 
-def _align_options_rows(rows: np.ndarray, fs) -> None:
-    """Row-batched :func:`_align_options`: same per-row output, no loop.
+def _align_option_words(span: np.ndarray) -> None:
+    """Row-batched :func:`_align_options` over an option span, in place.
 
     A word is kept when >= 50% of its bits are present; the first failing
     word vacates itself and everything after it in the span (the scalar
     version's ``break``), which is a prefix-AND along the word axis.
     """
-    span = rows[:, fs.start : fs.stop]
     n_words = span.shape[1] // 32
     if n_words == 0:
         return
     head = span[:, : n_words * 32]
-    present = (head != VACANT).reshape(len(rows), n_words, 32)
-    keep = np.logical_and.accumulate(present.mean(axis=2) >= 0.5, axis=1)
+    present = (head != VACANT).reshape(len(span), n_words, 32)
+    keep = np.logical_and.accumulate(
+        np.count_nonzero(present, axis=2) >= 16, axis=1)
     keep_bits = np.repeat(keep, 32, axis=1)
     head[keep_bits & (head == VACANT)] = 0
     head[~keep_bits] = VACANT
@@ -133,32 +134,34 @@ def _repair_rows(rows: np.ndarray) -> None:
     ipv4 = REGION_SLICES["ipv4"]
     fixed = rows[:, ipv4.start : ipv4.start + _IPV4_FIXED_BITS]
     fixed[fixed == VACANT] = 0
-    _align_options_rows(rows, FIELDS["ipv4.options"])
+    ip_options = FIELDS["ipv4.options"]
+    _align_option_words(rows[:, ip_options.start : ip_options.stop])
 
     # Same iteration order as the scalar dict, so occupancy ties break
-    # identically (argmax and max() both pick the first maximum).
+    # identically (argmax and max() both pick the first maximum); a
+    # present-bit count over the width is bitwise the scalar np.mean.
     names = [n for n in REGION_SLICES if n != "ipv4"]
     occupancy = np.stack([
-        (rows[:, REGION_SLICES[n].start : REGION_SLICES[n].stop] != VACANT)
-        .mean(axis=1)
+        np.count_nonzero(
+            rows[:, REGION_SLICES[n].start : REGION_SLICES[n].stop]
+            != VACANT, axis=1) / REGION_SLICES[n].width
         for n in names
     ])
     winner = np.argmax(occupancy, axis=0)
     for idx, name in enumerate(names):
         fs = REGION_SLICES[name]
-        rows[winner != idx, fs.start : fs.stop] = VACANT
         won = winner == idx
+        rows[~won, fs.start : fs.stop] = VACANT
         if not won.any():
             continue
-        sub = rows[won]
+        region = rows[won, fs.start : fs.stop]
         if name == "tcp":
-            tcp_fixed = sub[:, fs.start : fs.start + _TCP_FIXED_BITS]
+            tcp_fixed = region[:, :_TCP_FIXED_BITS]
             tcp_fixed[tcp_fixed == VACANT] = 0
-            _align_options_rows(sub, FIELDS["tcp.options"])
+            _align_option_words(region[:, _TCP_FIXED_BITS:])
         else:
-            segment = sub[:, fs.start : fs.stop]
-            segment[segment == VACANT] = 0
-        rows[won] = sub
+            region[region == VACANT] = 0
+        rows[won, fs.start : fs.stop] = region
 
 
 def repair_matrix(matrix: np.ndarray) -> np.ndarray:
@@ -166,24 +169,32 @@ def repair_matrix(matrix: np.ndarray) -> np.ndarray:
 
     Row-batched implementation of :func:`repair_row_structure` (one pass
     of array ops over the whole matrix instead of per-row Python), pinned
-    to the scalar function's output by the test suite.
+    to the scalar function's output by the test suite.  ``matrix`` is one
+    ``(P, 1088)`` matrix or a ``(n, P, 1088)`` batch; a batch repairs all
+    ``n * P`` rows in one pass and cuts each flow's padding separately.
     """
     matrix = np.asarray(matrix, dtype=np.int8)
-    if matrix.ndim != 2 or matrix.shape[1] != NPRINT_BITS:
-        raise ValueError(f"expected (P, {NPRINT_BITS}), got {matrix.shape}")
+    if matrix.ndim not in (2, 3) or matrix.shape[-1] != NPRINT_BITS:
+        raise ValueError(
+            f"expected (P, {NPRINT_BITS}) or (n, P, {NPRINT_BITS}), "
+            f"got {matrix.shape}"
+        )
     out = matrix.copy()
+    flows = out.reshape(-1, *out.shape[-2:])
     ipv4 = REGION_SLICES["ipv4"]
     # A packet row always carries the fixed 20-byte IPv4 header; the
     # first row without it ends the flow (flows are contiguous, so later
     # stray rows are padding too).
-    fixed_occupancy = (
-        out[:, ipv4.start : ipv4.start + _IPV4_FIXED_BITS] != VACANT
-    ).mean(axis=1)
-    bad = fixed_occupancy < 0.5
-    cut = int(np.argmax(bad)) if bad.any() else out.shape[0]
-    out[cut:] = VACANT
-    if cut:
-        _repair_rows(out[:cut])
+    # fewer than half the fixed bits present (count / 160 < 0.5)
+    bad = np.count_nonzero(
+        flows[..., ipv4.start : ipv4.start + _IPV4_FIXED_BITS] != VACANT,
+        axis=-1) < _IPV4_FIXED_BITS // 2
+    height = flows.shape[1]
+    cut = np.where(bad.any(axis=1), np.argmax(bad, axis=1), height)
+    # Rows repair independently, so padding rows are repaired along with
+    # the rest and vacated afterwards.
+    _repair_rows(flows.reshape(-1, NPRINT_BITS))
+    flows[np.arange(height) >= cut[:, None]] = VACANT
     return out
 
 
@@ -192,10 +203,20 @@ def matrix_to_flow(
     gaps_channel: np.ndarray | None = None,
     label: str = "",
     start_time: float = 0.0,
-) -> DecodedFlow:
-    """Full back-transform: continuous matrix (+ timing channel) -> flow."""
-    ternary = quantize_matrix(continuous)
-    repaired = repair_matrix(ternary)
+):
+    """Full back-transform: continuous matrix (+ timing channel) -> flow.
+
+    A ``(n, P, 1088)`` batch (with ``(n, P)`` timing channels) runs the
+    same steps over the whole tensor and returns a
+    :class:`~repro.net.flowbatch.FlowBatch`.  An int8 input is taken as
+    already ternary (e.g. ``apply_structure_guidance(..., quantise=True)``)
+    and is not re-quantised.
+    """
+    continuous = np.asarray(continuous)
+    with perf.timer("emit.repair"):
+        ternary = (continuous if continuous.dtype == np.int8
+                   else quantize_matrix(continuous))
+        repaired = repair_matrix(ternary)
     gaps = None
     if gaps_channel is not None:
         gaps = channel_to_gaps(gaps_channel)

@@ -25,6 +25,7 @@ from repro.net.headers import (
 from repro.net.ipaddr import in_subnet, ip_to_str, str_to_ip
 from repro.net.packet import Packet, build_packet, parse_packet
 from repro.net.flow import Flow, FlowKey, assemble_flows
+from repro.net.flowbatch import FlowBatch
 from repro.net.pcap import PcapReader, PcapWriter, read_pcap, write_pcap
 from repro.net.pcapng import (
     PcapngReader,
@@ -74,6 +75,7 @@ __all__ = [
     "Flow",
     "FlowKey",
     "assemble_flows",
+    "FlowBatch",
     "PcapReader",
     "PcapWriter",
     "read_pcap",

@@ -33,6 +33,34 @@ def _ones_complement_sum(data: bytes) -> int:
     return total
 
 
+def fold_sums(totals: np.ndarray) -> np.ndarray:
+    """Row-wise :func:`_ones_complement_sum` finish: fold wide sums to 16 bits.
+
+    ``totals`` are non-negative integer sums of big-endian 16-bit words;
+    the result equals folding each one with the scalar end-around-carry
+    loop.
+    """
+    totals = np.asarray(totals, dtype=np.uint64)
+    while (totals >> 16).any():
+        totals = (totals & 0xFFFF) + (totals >> 16)
+    return totals
+
+
+def ones_complement_rows(data: np.ndarray, extra=0) -> np.ndarray:
+    """:func:`_ones_complement_sum` of every row of a ``(n, 2k)`` byte array.
+
+    Each row is viewed as ``k`` big-endian 16-bit words and summed in one
+    vectorised pass; trailing zero bytes do not change a row's sum, so
+    variable-length headers can share one zero-padded array.  ``extra``
+    (scalar or per row) is added before folding, e.g. the words of a
+    pseudo-header.
+    """
+    data = np.ascontiguousarray(data, dtype=np.uint8)
+    words = data.view(">u2").reshape(data.shape[0], data.shape[1] // 2)
+    totals = words.sum(axis=1, dtype=np.uint64)
+    return fold_sums(totals + np.asarray(extra, dtype=np.uint64))
+
+
 def internet_checksum(data: bytes) -> int:
     """Compute the 16-bit one's-complement checksum over ``data``.
 

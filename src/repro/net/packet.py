@@ -10,10 +10,18 @@ models.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
+from collections.abc import Sequence
+from dataclasses import dataclass
+
+import numpy as np
 
 from repro import perf
-from repro.net.checksum import _ones_complement_sum, pseudo_header
+from repro.net.checksum import (
+    _ones_complement_sum,
+    fold_sums,
+    ones_complement_rows,
+    pseudo_header,
+)
 from repro.net.headers import (
     ICMPHeader,
     IPProto,
@@ -175,15 +183,11 @@ class PacketRenderer:
         elif isinstance(transport, ICMPHeader):
             transport_bytes = self._render_icmp(transport, pkt.payload)
         else:
-            out = pkt.to_bytes()
-            perf.incr("packet.bytes_rendered", len(out))
-            return out
+            return pkt.to_bytes()
         ip_bytes = self._render_ip(
             pkt.ip, len(transport_bytes) + len(pkt.payload)
         )
-        out = ip_bytes + transport_bytes + pkt.payload
-        perf.incr("packet.bytes_rendered", len(out))
-        return out
+        return ip_bytes + transport_bytes + pkt.payload
 
     # -- per-protocol templates ----------------------------------------------
     def _cached(self, cache: dict, key, build):
@@ -322,19 +326,183 @@ class PacketRenderer:
         return bytes(buf)
 
 
+#: the columnar renderer's header layouts: big-endian wire fields, no padding
+_IPV4_LAYOUT = np.dtype([
+    ("ver_ihl", "u1"), ("tos", "u1"), ("total", ">u2"), ("ident", ">u2"),
+    ("flags_frag", ">u2"), ("ttl", "u1"), ("proto", "u1"),
+    ("csum", ">u2"), ("src", ">u4"), ("dst", ">u4"),
+    ("options", "u1", (40,)),
+])
+_TCP_LAYOUT = np.dtype([
+    ("sport", ">u2"), ("dport", ">u2"), ("seq", ">u4"), ("ack", ">u4"),
+    ("offset", "u1"), ("flags", "u1"), ("window", ">u2"), ("csum", ">u2"),
+    ("urgent", ">u2"), ("options", "u1", (40,)),
+])
+_UDP_LAYOUT = np.dtype([
+    ("sport", ">u2"), ("dport", ">u2"), ("length", ">u2"), ("csum", ">u2"),
+])
+_ICMP_LAYOUT = np.dtype([
+    ("type", "u1"), ("code", "u1"), ("csum", ">u2"), ("rest", ">u4"),
+])
+
+#: bytes reserved before each packet of a RenderedPackets buffer
+RECORD_HEADER_BYTES = 16
+
+
+class RenderedPackets(Sequence):
+    """Wire bytes of many packets in one buffer, as a ``Sequence[bytes]``.
+
+    Packet ``i`` is ``buffer[starts[i]:starts[i] + lengths[i]]``.  The
+    :data:`RECORD_HEADER_BYTES` before each packet are reserved for its
+    pcap record header, so :meth:`repro.net.pcap.PcapWriter.write_many`
+    fills those in and writes the whole buffer at once.
+    """
+
+    def __init__(self, buffer: np.ndarray, starts: np.ndarray,
+                 lengths: np.ndarray):
+        self.buffer = buffer
+        self.starts = starts
+        self.lengths = lengths
+
+    def __len__(self) -> int:
+        return len(self.starts)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return list(self)[index]
+        start = int(self.starts[index])
+        return self.buffer[start : start + int(self.lengths[index])].tobytes()
+
+    def __iter__(self):
+        data = self.buffer.tobytes()
+        for start, length in zip(self.starts.tolist(), self.lengths.tolist()):
+            yield data[start : start + length]
+
+
+def _ip_word_sums(cols, rows) -> np.ndarray:
+    """Sum of the source and destination address words of ``rows``."""
+    src, dst = cols["src_ip"][rows], cols["dst_ip"][rows]
+    return (src >> 16) + (src & 0xFFFF) + (dst >> 16) + (dst & 0xFFFF)
+
+
+def _complement(sums: np.ndarray) -> np.ndarray:
+    return ~sums & 0xFFFF
+
+
+def _scatter(buffer: np.ndarray, at: np.ndarray, rows: np.ndarray,
+             lengths: np.ndarray) -> None:
+    """Copy the first ``lengths[i]`` bytes of ``rows[i]`` to ``at[i]``."""
+    span = np.arange(rows.shape[1])
+    sel = span < lengths[:, None]
+    buffer[(at[:, None] + span)[sel]] = rows[sel]
+
+
+def _render_batch(batch) -> RenderedPackets:
+    """Every packet of a FlowBatch as wire bytes, equal to ``to_bytes``.
+
+    Headers are filled column-wise into structured arrays that share the
+    wire layout; checksums are vectorised one's-complement sums (payloads
+    are zero bytes, so they add only their length, through the
+    pseudo-header), and the headers are scattered into one zeroed buffer.
+    """
+    c = batch.columns
+    n = batch.n_packets
+    proto = c["proto"]
+    tcp = proto == IPProto.TCP
+    udp = proto == IPProto.UDP
+    icmp = proto == IPProto.ICMP
+    # Options are zero-padded to whole 32-bit words, as pack() pads them.
+    ip_len = 20 + (c["ip_opt_len"] + 3) // 4 * 4
+    transport_len = np.where(tcp, 20 + (c["tcp_opt_len"] + 3) // 4 * 4,
+                             np.where(udp | icmp, 8, 0))
+    payload = c["payload_len"]
+    lengths = ip_len + transport_len + payload
+
+    ip = np.zeros(n, _IPV4_LAYOUT)
+    ip["ver_ihl"] = 0x40 | (ip_len >> 2)
+    ip["tos"] = (c["dscp"] << 2) | c["ecn"]
+    ip["total"] = lengths
+    ip["ident"] = c["identification"]
+    ip["flags_frag"] = (c["ip_flags"] << 13) | c["frag_offset"]
+    ip["ttl"] = c["ttl"]
+    ip["proto"] = proto
+    ip["src"] = c["src_ip"]
+    ip["dst"] = c["dst_ip"]
+    ip["options"] = c["ip_options"]
+    ip_bytes = ip.view(np.uint8).reshape(n, _IPV4_LAYOUT.itemsize)
+    ip["csum"] = _complement(ones_complement_rows(ip_bytes))
+
+    head = np.zeros((n, _TCP_LAYOUT.itemsize), dtype=np.uint8)
+    if tcp.any():
+        t = np.zeros(int(tcp.sum()), _TCP_LAYOUT)
+        for field, column in (("sport", "sport"), ("dport", "dport"),
+                              ("seq", "seq"), ("ack", "ack"),
+                              ("flags", "tcp_flags"), ("window", "window"),
+                              ("urgent", "urgent"),
+                              ("options", "tcp_options")):
+            t[field] = c[column][tcp]
+        t["offset"] = (transport_len[tcp] >> 2) << 4
+        t_bytes = t.view(np.uint8).reshape(len(t), _TCP_LAYOUT.itemsize)
+        pseudo = (_ip_word_sums(c, tcp) + int(IPProto.TCP)
+                  + transport_len[tcp] + payload[tcp])
+        t["csum"] = _complement(ones_complement_rows(t_bytes, pseudo))
+        head[tcp] = t_bytes
+    if udp.any():
+        u = np.zeros(int(udp.sum()), _UDP_LAYOUT)
+        u["sport"] = c["sport"][udp]
+        u["dport"] = c["dport"][udp]
+        length = 8 + payload[udp]
+        u["length"] = length
+        # The datagram length appears twice: pseudo-header and header.
+        csum = _complement(fold_sums(
+            _ip_word_sums(c, udp) + int(IPProto.UDP) + 2 * length
+            + c["sport"][udp] + c["dport"][udp]))
+        csum[csum == 0] = 0xFFFF  # RFC 768: zero means "no checksum"
+        u["csum"] = csum
+        head[udp, :8] = u.view(np.uint8).reshape(len(u), 8)
+    if icmp.any():
+        m = np.zeros(int(icmp.sum()), _ICMP_LAYOUT)
+        m["type"] = c["icmp_type"][icmp]
+        m["code"] = c["icmp_code"][icmp]
+        m["rest"] = c["icmp_rest"][icmp]
+        m_bytes = m.view(np.uint8).reshape(len(m), 8)
+        m["csum"] = _complement(ones_complement_rows(m_bytes))
+        head[icmp, :8] = m_bytes
+
+    starts = np.cumsum(RECORD_HEADER_BYTES + lengths) - lengths
+    buffer = np.zeros(int(starts[-1] + lengths[-1]) if n else 0,
+                      dtype=np.uint8)
+    _scatter(buffer, starts, ip_bytes, ip_len)
+    _scatter(buffer, starts + ip_len, head, transport_len)
+    return RenderedPackets(buffer, starts, lengths)
+
+
 def render_flows(flows, renderer: PacketRenderer | None = None):
     """Render every packet of ``flows`` to wire bytes, flow-major.
 
     Returns ``(datas, timestamps)`` ready for
-    :meth:`repro.net.pcap.PcapWriter.write_many`.
+    :meth:`repro.net.pcap.PcapWriter.write_many`.  A
+    :class:`~repro.net.flowbatch.FlowBatch` renders column-wise into one
+    buffer (``datas`` is then a :class:`RenderedPackets` view over it);
+    any other sequence of flows goes packet by packet through
+    ``renderer``.
     """
-    import numpy as np
+    from repro.net.flowbatch import FlowBatch
 
-    renderer = renderer or PacketRenderer()
-    datas: list[bytes] = []
-    stamps: list[float] = []
-    for flow in flows:
-        for pkt in flow.packets:
-            datas.append(renderer.render(pkt))
-            stamps.append(pkt.timestamp)
-    return datas, np.asarray(stamps, dtype=np.float64)
+    with perf.timer("emit.render"):
+        if isinstance(flows, FlowBatch):
+            datas = _render_batch(flows)
+            stamps = flows.columns["timestamp"].copy()
+            nbytes = int(datas.lengths.sum())
+        else:
+            renderer = renderer or PacketRenderer()
+            datas = []
+            stamps = []
+            for flow in flows:
+                for pkt in flow.packets:
+                    datas.append(renderer.render(pkt))
+                    stamps.append(pkt.timestamp)
+            stamps = np.asarray(stamps, dtype=np.float64)
+            nbytes = sum(len(d) for d in datas)
+        perf.incr("packet.bytes_rendered", nbytes)
+    return datas, stamps

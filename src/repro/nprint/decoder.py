@@ -23,7 +23,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro import perf
 from repro.net.flow import Flow
+from repro.net.flowbatch import FlowBatch
 from repro.net.headers import (
     ICMPHeader,
     IPProto,
@@ -225,19 +227,6 @@ class DecodedFlow:
     skipped_rows: int = 0
 
 
-# Fields the row-batched decoder extracts for every packet at once.
-_BATCH_FIELDS = (
-    "ipv4.dscp", "ipv4.ecn", "ipv4.total_length", "ipv4.identification",
-    "ipv4.flags", "ipv4.fragment_offset", "ipv4.ttl", "ipv4.proto",
-    "ipv4.src_ip", "ipv4.dst_ip",
-    "tcp.src_port", "tcp.dst_port", "tcp.seq", "tcp.ack", "tcp.flags",
-    "tcp.window", "tcp.urgent_pointer",
-    "udp.src_port", "udp.dst_port",
-    "icmp.type", "icmp.code", "icmp.rest",
-)
-
-_POW2 = (1 << np.arange(31, -1, -1)).astype(np.int64)
-
 # Transport regions in the same order as infer_transport's candidate
 # dict, so occupancy ties resolve identically (first maximum wins).
 _TRANSPORT_REGIONS = (
@@ -246,116 +235,128 @@ _TRANSPORT_REGIONS = (
     (int(IPProto.ICMP), REGION_SLICES["icmp"]),
 )
 
+# Byte offsets of the regions in a packed row: every region starts on a
+# byte boundary, so ``np.packbits`` of a row is its wire header bytes.
+_IP = REGION_SLICES["ipv4"].start // 8
+_TCP = REGION_SLICES["tcp"].start // 8
+_UDP = REGION_SLICES["udp"].start // 8
+_ICMP = REGION_SLICES["icmp"].start // 8
+_OPTS = 20  # option bytes start after the fixed 20-byte IPv4/TCP header
 
-def _read_fields_batch(rows: np.ndarray) -> dict[str, np.ndarray]:
-    """All :data:`_BATCH_FIELDS` values for every row via one bit matrix.
 
-    Equivalent to calling :func:`_read_field` per row and field
-    (``vacant_as_zero`` semantics: only +1 bits contribute), but the
-    big-endian weighting is a single matmul per field.
+def _be(packed: np.ndarray, start: int, nbytes: int) -> np.ndarray:
+    """Big-endian unsigned value of bytes ``start:start+nbytes`` per row."""
+    out = packed[:, start].astype(np.int64)
+    for k in range(1, nbytes):
+        out = (out << 8) | packed[:, start + k]
+    return out
+
+
+def _decode_columns(rows: np.ndarray) -> dict[str, np.ndarray]:
+    """Non-strict :func:`decode_packet` of every live row, as columns.
+
+    Field values come from one ``np.packbits`` of the +1 bits (vacant
+    reads as 0, as in :func:`_read_field`); the transport vote, option
+    lengths and payload length follow :func:`decode_packet` exactly.
+    The caller adds the ``timestamp`` column.
     """
-    bits = (rows == 1).astype(np.int64)
-    values = {}
-    for name in _BATCH_FIELDS:
-        fs = FIELDS[name]
-        values[name] = bits[:, fs.start : fs.stop] @ _POW2[-fs.width :]
-    return values
-
-
-def _decode_rows(rows: np.ndarray, timestamps: list[float]) -> list[Packet]:
-    """Row-batched non-strict :func:`decode_packet` over live rows."""
-    vals = _read_fields_batch(rows)
+    packed = np.packbits(rows == 1, axis=1)
     present = rows != VACANT
-    occ = np.stack([
-        present[:, fs.start : fs.stop].mean(axis=1)
-        for _, fs in _TRANSPORT_REGIONS
-    ])
+
+    def count(fs: FieldSlice) -> np.ndarray:
+        return np.count_nonzero(present[:, fs.start : fs.stop], axis=1)
+
+    n = len(rows)
+    # count / width is bitwise the float np.mean gives the scalar vote.
+    occ = np.stack([count(fs) / fs.width for _, fs in _TRANSPORT_REGIONS])
     vote = np.argmax(occ, axis=0)
-    voted_proto = np.array([p for p, _ in _TRANSPORT_REGIONS])[vote]
-    no_vote = occ[vote, np.arange(len(rows))] < 0.25
-    declared = vals["ipv4.proto"]
+    voted = np.array([p for p, _ in _TRANSPORT_REGIONS])[vote]
+    no_vote = occ[vote, np.arange(n)] < 0.25
+    declared = packed[:, _IP + 9].astype(np.int64)
     fallback = np.where(
         np.isin(declared, (1, 6, 17)), declared, int(IPProto.TCP)
     )
-    protos = np.where(no_vote, fallback, voted_proto)
+    proto = np.where(no_vote, fallback, voted)
+    tcp = proto == IPProto.TCP
+    udp = proto == IPProto.UDP
+    icmp = proto == IPProto.ICMP
 
-    ip_opt_bytes = _option_lengths(present, FIELDS["ipv4.options"])
-    tcp_opt_bytes = _option_lengths(present, FIELDS["tcp.options"])
+    ip_opt_len = count(FIELDS["ipv4.options"]) // 32 * 4
+    tcp_opt_len = np.where(tcp, count(FIELDS["tcp.options"]) // 32 * 4, 0)
+    width = np.arange(40)
+    ip_options = packed[:, _IP + _OPTS : _IP + 60] * (
+        width < ip_opt_len[:, None])
+    tcp_options = packed[:, _TCP + _OPTS : _TCP + 60] * (
+        width < tcp_opt_len[:, None])
 
-    packets = []
-    for i in range(len(rows)):
-        proto = int(protos[i])
-        if proto == IPProto.TCP:
-            opts = (
-                _bits_to_bytes(
-                    rows[i], FIELDS["tcp.options"].start, tcp_opt_bytes[i]
-                )
-                if tcp_opt_bytes[i]
-                else b""
-            )
-            transport = TCPHeader(
-                src_port=int(vals["tcp.src_port"][i]),
-                dst_port=int(vals["tcp.dst_port"][i]),
-                seq=int(vals["tcp.seq"][i]),
-                ack=int(vals["tcp.ack"][i]),
-                reserved=0,
-                flags=int(vals["tcp.flags"][i]),
-                window=int(vals["tcp.window"][i]),
-                urgent_pointer=int(vals["tcp.urgent_pointer"][i]),
-                options=opts,
-            )
-            transport_len = transport.header_length
-        elif proto == IPProto.UDP:
-            transport = UDPHeader(
-                src_port=int(vals["udp.src_port"][i]),
-                dst_port=int(vals["udp.dst_port"][i]),
-            )
-            transport_len = 8
-        elif proto == IPProto.ICMP:
-            transport = ICMPHeader(
-                icmp_type=int(vals["icmp.type"][i]),
-                code=int(vals["icmp.code"][i]),
-                rest=int(vals["icmp.rest"][i]),
-            )
-            transport_len = 8
-        else:
-            transport, transport_len = None, 0
-        ip_opts = (
-            _bits_to_bytes(
-                rows[i], FIELDS["ipv4.options"].start, ip_opt_bytes[i]
-            )
-            if ip_opt_bytes[i]
-            else b""
-        )
-        ip = IPv4Header(
-            version=4,
-            dscp=int(vals["ipv4.dscp"][i]),
-            ecn=int(vals["ipv4.ecn"][i]),
-            identification=int(vals["ipv4.identification"][i]),
-            flags=int(vals["ipv4.flags"][i]),
-            fragment_offset=int(vals["ipv4.fragment_offset"][i]),
-            ttl=int(vals["ipv4.ttl"][i]),
-            proto=proto,
-            src_ip=int(vals["ipv4.src_ip"][i]),
-            dst_ip=int(vals["ipv4.dst_ip"][i]),
-            options=ip_opts,
-        )
-        header_len = ip.header_length + transport_len
-        payload_len = max(0, int(vals["ipv4.total_length"][i]) - header_len)
-        payload_len = min(payload_len, 65535 - header_len)
-        packets.append(Packet(
-            ip=ip,
-            transport=transport,
-            payload=b"\x00" * payload_len,
-            timestamp=timestamps[i],
-        ))
-    return packets
+    header_len = 20 + ip_opt_len + np.where(tcp, 20 + tcp_opt_len, 8)
+    payload_len = np.minimum(
+        np.maximum(_be(packed, _IP + 2, 2) - header_len, 0),
+        65535 - header_len,
+    )
+
+    def on(mask: np.ndarray, values: np.ndarray) -> np.ndarray:
+        return np.where(mask, values, 0)
+
+    tos = packed[:, _IP + 1].astype(np.int64)
+    return {
+        "proto": proto,
+        "src_ip": _be(packed, _IP + 12, 4),
+        "dst_ip": _be(packed, _IP + 16, 4),
+        "dscp": tos >> 2,
+        "ecn": tos & 0x3,
+        "identification": _be(packed, _IP + 4, 2),
+        "ip_flags": packed[:, _IP + 6].astype(np.int64) >> 5,
+        "frag_offset": _be(packed, _IP + 6, 2) & 0x1FFF,
+        "ttl": packed[:, _IP + 8].astype(np.int64),
+        "ip_opt_len": ip_opt_len,
+        "sport": np.where(tcp, _be(packed, _TCP, 2),
+                          on(udp, _be(packed, _UDP, 2))),
+        "dport": np.where(tcp, _be(packed, _TCP + 2, 2),
+                          on(udp, _be(packed, _UDP + 2, 2))),
+        "seq": on(tcp, _be(packed, _TCP + 4, 4)),
+        "ack": on(tcp, _be(packed, _TCP + 8, 4)),
+        "tcp_flags": on(tcp, packed[:, _TCP + 13].astype(np.int64)),
+        "window": on(tcp, _be(packed, _TCP + 14, 2)),
+        "urgent": on(tcp, _be(packed, _TCP + 18, 2)),
+        "tcp_opt_len": tcp_opt_len,
+        "icmp_type": on(icmp, packed[:, _ICMP].astype(np.int64)),
+        "icmp_code": on(icmp, packed[:, _ICMP + 1].astype(np.int64)),
+        "icmp_rest": on(icmp, _be(packed, _ICMP + 4, 4)),
+        "payload_len": payload_len,
+        "ip_options": ip_options,
+        "tcp_options": tcp_options,
+    }
 
 
-def _option_lengths(present: np.ndarray, fs: FieldSlice) -> np.ndarray:
-    """Per-row :func:`_option_length` (word-aligned present byte count)."""
-    counts = present[:, fs.start : fs.stop].sum(axis=1)
-    return (counts // 8 // 4) * 4
+def _clocks(gaps, n: int, height: int, start_time: float) -> np.ndarray:
+    """``(n, height)`` capture time of every row of ``n`` flows.
+
+    Row ``i > 0`` follows row ``i - 1`` by ``max(0, gaps[i])`` (1 ms when
+    no gap is given), accumulated left to right from ``start_time`` in
+    the same float order as a running ``clock += gap``.
+    """
+    steps = np.full((n, height), 0.001)
+    if gaps is not None:
+        gaps = np.asarray(gaps, dtype=np.float64).reshape(n, -1)
+        k = min(gaps.shape[1], height)
+        steps[:, :k] = gaps[:, :k]
+    steps = np.where(steps > 0.0, steps, 0.0)  # max(0.0, gap)
+    steps[:, 0] = start_time
+    return np.add.accumulate(steps, axis=1)
+
+
+def _decode_batch(matrices: np.ndarray, gaps, label: str,
+                  start_time: float) -> FlowBatch:
+    n, height = matrices.shape[:2]
+    vacant = (matrices == VACANT).all(axis=2)
+    counts = np.where(vacant.any(axis=1), np.argmax(vacant, axis=1), height)
+    live = np.arange(height) < counts[:, None]
+    columns = _decode_columns(matrices[live])
+    columns["timestamp"] = _clocks(gaps, n, height, start_time)[live]
+    offsets = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(counts, out=offsets[1:])
+    return FlowBatch(columns, offsets, label, matrices=matrices)
 
 
 def decode_flow(
@@ -364,7 +365,7 @@ def decode_flow(
     label: str = "",
     start_time: float = 0.0,
     strict: bool = False,
-) -> DecodedFlow:
+):
     """Decode a ``(P, 1088)`` ternary matrix back into a :class:`Flow`.
 
     ``gaps`` optionally supplies inter-arrival seconds per row (see
@@ -372,27 +373,32 @@ def decode_flow(
     are spaced 1 ms apart.  All-vacant rows terminate the flow (padding);
     rows that fail strict decoding are skipped and counted in the result
     when ``strict`` is False.
+
+    A ``(n, P, 1088)`` batch (with ``(n, P)`` gaps) decodes every flow in
+    one columnar pass and returns a :class:`~repro.net.flowbatch.FlowBatch`
+    whose flows equal the per-matrix results and whose ``matrices`` is
+    the batch itself; batches are non-strict.
     """
+    matrix = np.asarray(matrix)
+    if matrix.ndim == 3 and matrix.shape[2] == NPRINT_BITS:
+        if strict:
+            raise ValueError("strict decoding takes one (P, 1088) matrix")
+        with perf.timer("emit.decode"):
+            return _decode_batch(matrix, gaps, label, start_time)
     if matrix.ndim != 2 or matrix.shape[1] != NPRINT_BITS:
         raise ValueError(f"expected (P, {NPRINT_BITS}) matrix, got {matrix.shape}")
+    if not strict:
+        # Non-strict decoding never raises (vacant bits read as zero), so
+        # the flow goes through the columnar path as a batch of one.
+        batch = _decode_batch(matrix[None], gaps, label, start_time)
+        return DecodedFlow(flow=batch[0])
     flow = Flow(label=label)
     result = DecodedFlow(flow=flow)
     vacant = (matrix == VACANT).all(axis=1)
     count = int(np.argmax(vacant)) if vacant.any() else matrix.shape[0]
-    clocks: list[float] = []
-    clock = start_time
-    for i in range(count):
-        gap = float(gaps[i]) if gaps is not None and i < len(gaps) else 0.001
-        if i > 0:
-            clock += max(0.0, gap)
-        clocks.append(clock)
-    if not strict:
-        # Non-strict decoding never raises (vacant bits read as zero), so
-        # the whole flow goes through the row-batched fast path.
-        flow.packets.extend(_decode_rows(matrix[:count], clocks))
-        return result
+    clocks = _clocks(gaps, 1, matrix.shape[0], start_time)[0]
     for i in range(count):
         flow.packets.append(
-            decode_packet(matrix[i], timestamp=clocks[i], strict=True)
+            decode_packet(matrix[i], timestamp=float(clocks[i]), strict=True)
         )
     return result

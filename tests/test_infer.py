@@ -179,6 +179,23 @@ class TestSteadyStateAllocation:
         assert not pool._store
 
 
+class TestForwardCounter:
+    @pytest.mark.parametrize("mode", ["eager", "compiled"])
+    @pytest.mark.parametrize("dtype", [None, np.float32])
+    def test_one_denoiser_forward_per_ddim_step(self, fitted, mode, dtype):
+        """Both engines count a fused CFG forward as ``denoiser.forward``,
+        one per DDIM step per sampler batch."""
+        _latents(fitted, mode, n=3, steps=2, dtype=dtype)  # warm the engine
+        registry = perf.get_registry()
+        before = registry.count("denoiser.forward")
+        before_rows = registry.count("denoiser.rows")
+        steps, n = 7, 5
+        _latents(fitted, mode, n=n, steps=steps, dtype=dtype)
+        assert registry.count("denoiser.forward") - before == steps
+        # cond + null rows per forward
+        assert registry.count("denoiser.rows") - before_rows == 2 * n * steps
+
+
 class TestConditioningCache:
     def test_stream_hoists_conditioning_once(self, fitted):
         """Chunks 2..k of a streaming run re-encode nothing."""
