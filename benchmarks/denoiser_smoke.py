@@ -4,10 +4,10 @@
 Benchmarks the sampling-path denoiser stack in isolation — no dataset, no
 codec fit — by fabricating a pipeline with randomly initialised (but
 deterministic) weights and timing ``sample_latents`` at tiny/quick
-presets.  Rows are recorded per inference engine (``eager`` vs the
-compiled plan selected by ``REPRO_INFER=compiled``) and per dtype, so the
-artifact tracks the compiled-engine speedup against the committed eager
-baseline.
+presets.  Rows are recorded per engine (``eager``: a DDIM run over the
+autograd-tape module forwards, the compiled plan's oracle; ``compiled``:
+the pipeline's own sampler) and per dtype, so the artifact tracks the
+compiled-engine speedup against the committed eager baseline.
 
 Usage::
 
@@ -34,7 +34,6 @@ import bench_env  # noqa: E402  (same directory as this script)
 bench_env.pin_blas_threads()
 
 import argparse
-import contextlib
 import json
 import os
 import sys
@@ -102,21 +101,55 @@ def build_pipeline(spec: dict, seed: int = 0):
     return pipeline
 
 
-def _mode_context(mode: str):
-    """Engine-selection context; 'eager' works on pre-engine trees too."""
-    if mode == "eager":
-        return contextlib.nullcontext()
-    from repro.core import infer
+def _tape_eps(pipeline, n, dtype):
+    """Guided eps over the module forwards (fused CFG, hoisted
+    conditioning) — what the compiled plan must reproduce bitwise."""
+    from repro.core.pipeline import NULL_PROMPT
+    from repro.ml.nn import Tensor
 
-    return infer.use_infer_mode(mode)
+    prompt_encoder, denoiser, controlnet = pipeline._inference_modules(dtype)
+    weight = pipeline.config.guidance_weight
+    cond = prompt_encoder([pipeline.codebook.prompt_for(CLASS)] * n).data
+    null = prompt_encoder([NULL_PROMPT] * n).data
+    mask = pipeline.class_masks[CLASS]
+    masks = np.ascontiguousarray(np.broadcast_to(mask, (n, len(mask))))
+    controls = [c.data for c in controlnet(masks.astype(dtype or np.float64))]
+
+    def eps(x_t, t):
+        m = len(x_t)
+        ctrl = [Tensor(np.concatenate([c[:m], np.zeros_like(c[:m])]))
+                for c in controls]
+        out = denoiser(
+            Tensor(np.concatenate([x_t, x_t])), np.concatenate([t, t]),
+            Tensor(np.concatenate([cond[:m], null[:m]])), ctrl,
+        ).data
+        return (1 + weight) * out[:m] - weight * out[m:]
+
+    return eps
 
 
-def _sample(pipeline, spec, dtype, seed: int = 123) -> np.ndarray:
+def _sample(pipeline, spec, dtype, seed: int = 123,
+            mode: str = "compiled") -> np.ndarray:
     rng = np.random.default_rng(seed)
-    return pipeline.sample_latents(
-        CLASS, spec["n_flows"], steps=spec["ddim_steps"], rng=rng,
-        dtype=dtype,
-    )
+    if mode == "compiled":
+        return pipeline.sample_latents(
+            CLASS, spec["n_flows"], steps=spec["ddim_steps"], rng=rng,
+            dtype=dtype,
+        )
+    from repro.core.ddim import DDIMSampler
+
+    sampler = DDIMSampler(pipeline.diffusion)
+    out = []
+    remaining = spec["n_flows"]
+    while remaining > 0:
+        n = min(remaining, spec["generation_batch"])
+        out.append(sampler.sample(
+            _tape_eps(pipeline, n, dtype),
+            (n, pipeline.codec.latent_dim), rng,
+            steps=spec["ddim_steps"], dtype=dtype,
+        ))
+        remaining -= n
+    return np.concatenate(out)
 
 
 def bench_mode(pipeline, spec, mode: str, dtype, repeats: int) -> dict:
@@ -127,20 +160,19 @@ def bench_mode(pipeline, spec, mode: str, dtype, repeats: int) -> dict:
     batches = -(-n_flows // batch)
     forwards = spec["ddim_steps"] * batches
 
-    with _mode_context(mode):
-        _sample(pipeline, spec, dtype)  # warm caches / workspaces
-        best = float("inf")
-        misses = hits = 0
-        for _ in range(repeats):
-            miss0 = perf.counter("infer.ws_miss")
-            hit0 = perf.counter("infer.ws_hit")
-            start = time.perf_counter()
-            _sample(pipeline, spec, dtype)
-            elapsed = time.perf_counter() - start
-            if elapsed < best:
-                best = elapsed
-                misses = perf.counter("infer.ws_miss") - miss0
-                hits = perf.counter("infer.ws_hit") - hit0
+    _sample(pipeline, spec, dtype, mode=mode)  # warm caches / workspaces
+    best = float("inf")
+    misses = hits = 0
+    for _ in range(repeats):
+        miss0 = perf.counter("infer.ws_miss")
+        hit0 = perf.counter("infer.ws_hit")
+        start = time.perf_counter()
+        _sample(pipeline, spec, dtype, mode=mode)
+        elapsed = time.perf_counter() - start
+        if elapsed < best:
+            best = elapsed
+            misses = perf.counter("infer.ws_miss") - miss0
+            hits = perf.counter("infer.ws_hit") - hit0
     return {
         "mode": mode,
         "dtype": "fp32" if dtype is not None else "fp64",
@@ -158,10 +190,8 @@ def bench_mode(pipeline, spec, mode: str, dtype, repeats: int) -> dict:
 
 def parity_check(pipeline, spec) -> bool:
     """fp64 latents must be bitwise identical across engines."""
-    with _mode_context("eager"):
-        ref = _sample(pipeline, spec, None, seed=7)
-    with _mode_context("compiled"):
-        got = _sample(pipeline, spec, None, seed=7)
+    ref = _sample(pipeline, spec, None, seed=7, mode="eager")
+    got = _sample(pipeline, spec, None, seed=7, mode="compiled")
     ok = ref.dtype == got.dtype and np.array_equal(ref, got)
     print(f"parity fp64 eager-vs-compiled: {'OK' if ok else 'MISMATCH'}")
     if not ok:

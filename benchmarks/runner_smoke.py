@@ -89,7 +89,6 @@ def main(argv: list[str] | None = None) -> int:
     )
     args = parser.parse_args(argv)
 
-    from repro.core.infer import infer_mode
     from repro.experiments.config import preset
 
     config = preset(args.preset, seed=0)
@@ -99,7 +98,7 @@ def main(argv: list[str] | None = None) -> int:
     current: dict[str, dict] = {
         "preset": args.preset,
         "skip": list(skip),
-        "infer_mode": infer_mode(),
+        "infer_mode": "compiled",
         "modes": {},
     }
     try:

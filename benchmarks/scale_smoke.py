@@ -307,15 +307,13 @@ def main(argv: list[str] | None = None) -> int:
     )
     args = parser.parse_args(argv)
 
-    from repro.core.infer import infer_mode
-
     spec = SCALE_PRESETS[args.preset]
     print(f"fitting pipeline ({args.preset} preset) ...", flush=True)
     pipeline = _fit_pipeline(spec, seed=args.seed)
 
     current: dict[str, dict] = {
         "preset": args.preset,
-        "infer_mode": infer_mode(),
+        "infer_mode": "compiled",
         "modes": {},
     }
     mode_plan: list[tuple[str, int | None]] = [

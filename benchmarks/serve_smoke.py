@@ -289,15 +289,13 @@ def main(argv: list[str] | None = None) -> int:
     )
     args = parser.parse_args(argv)
 
-    from repro.core.infer import infer_mode
-
     spec = SERVE_PRESETS[args.preset]
     print(f"fitting pipeline ({args.preset} preset) ...", flush=True)
     pipeline = _fit_pipeline(spec, seed=args.seed)
 
     current: dict = {
         "preset": args.preset,
-        "infer_mode": infer_mode(),
+        "infer_mode": "compiled",
         "server_seed": args.seed,
         "modes": {},
     }

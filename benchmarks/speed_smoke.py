@@ -82,7 +82,6 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
 
     from repro import perf
-    from repro.core.infer import infer_mode
     from repro.experiments.config import preset
     from repro.experiments.speed import run_speed
 
@@ -105,7 +104,7 @@ def main(argv: list[str] | None = None) -> int:
     section = {
         "preset": args.preset,
         "n_flows": result.n_flows,
-        "infer_mode": infer_mode(),
+        "infer_mode": "compiled",
         "rows": rows,
     }
 

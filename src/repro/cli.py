@@ -75,8 +75,7 @@ def _cmd_fit(args: argparse.Namespace) -> int:
         from repro.core import train as train_mod
 
         # Set both the process-wide mode and the environment so any
-        # forked/spawned helper inherits the engine choice (mirrors the
-        # generate command's --infer plumbing).
+        # forked/spawned helper inherits the engine choice.
         os.environ["REPRO_TRAIN"] = args.train_mode
         train_mod.set_train_mode(args.train_mode)
     flows = _load_labelled_flows(args.infile)
@@ -126,13 +125,6 @@ def _cmd_generate(args: argparse.Namespace) -> int:
               f"{pipeline.codebook.classes}", file=sys.stderr)
         return 1
     dtype = np.float32 if args.fp32 else None
-    if args.infer:
-        from repro.core import infer as infer_mod
-
-        # Set both the process-wide mode and the environment so sharded
-        # worker processes (fork or spawn) inherit the engine choice.
-        os.environ["REPRO_INFER"] = args.infer
-        infer_mod.set_infer_mode(args.infer)
     rng = np.random.default_rng(args.seed)
     if args.stream_pcap:
         # Streaming tier: sample -> decode -> render -> append, one chunk
@@ -244,12 +236,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     from repro.serve.service import GenerationService
     from repro.serve.store import ModelStore
 
-    if args.infer:
-        from repro.core import infer as infer_mod
-
-        os.environ["REPRO_INFER"] = args.infer
-        infer_mod.set_infer_mode(args.infer)
-
     store = None
     default_model = None
     pipeline = None
@@ -338,7 +324,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="training engine: 'compiled' runs the fused "
                         "forward+backward+Adam plan (bitwise-identical "
                         "fp64 losses and weights), 'eager' the autograd "
-                        "tape; default from REPRO_TRAIN or 'eager'")
+                        "tape; default from REPRO_TRAIN or 'compiled'")
     p.add_argument("--perf", action="store_true",
                    help="print stage timers and counters afterwards")
     p.set_defaults(fn=_cmd_fit)
@@ -364,11 +350,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--fp32", action="store_true",
                    help="run the denoiser stack in float32 (fast "
                         "inference tier)")
-    p.add_argument("--infer", choices=["eager", "compiled"], default=None,
-                   help="inference engine: 'compiled' runs the no-tape "
-                        "compiled denoiser plan (float64 output is "
-                        "bitwise-identical to eager); default from "
-                        "REPRO_INFER or 'eager'")
     p.add_argument("--perf", action="store_true",
                    help="print stage timers and counters afterwards")
     p.set_defaults(fn=_cmd_generate)
@@ -409,8 +390,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="default per-request queue deadline (seconds)")
     p.add_argument("--fp32", action="store_true",
                    help="serve the float32 inference tier")
-    p.add_argument("--infer", choices=["eager", "compiled"], default=None,
-                   help="inference engine (default from REPRO_INFER)")
     p.add_argument("--store-dir", default=None,
                    help="content-addressed model store directory; "
                         "requests may pick models by digest")

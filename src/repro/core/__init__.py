@@ -18,9 +18,6 @@ from repro.core.denoiser import ConditionalDenoiser, sinusoidal_time_embedding
 from repro.core.infer import (
     CompiledDenoiser,
     compile_denoiser,
-    infer_mode,
-    set_infer_mode,
-    use_infer_mode,
 )
 from repro.core.train import (
     CompiledTrainer,
@@ -63,9 +60,6 @@ __all__ = [
     "sinusoidal_time_embedding",
     "CompiledDenoiser",
     "compile_denoiser",
-    "infer_mode",
-    "set_infer_mode",
-    "use_infer_mode",
     "CompiledTrainer",
     "compile_training",
     "train_mode",

@@ -26,7 +26,6 @@ import numpy as np
 
 from repro import perf
 from repro.ml.nn import Linear, Module, Tensor, ZeroLinear
-from repro.ml.nn import backend as _backend
 from repro.nprint.fields import NPRINT_BITS, REGION_SLICES, VACANT
 
 
@@ -119,30 +118,6 @@ class ControlNetBranch(Module):
         pooled = Tensor(self.pool_mask(mask))
         h = self.encoder2(self.encoder1(pooled).silu()).silu()
         return [proj(h) for proj in self.zero_projections]
-
-    def forward_data(self, mask: np.ndarray) -> list[np.ndarray]:
-        """Per-block injections as raw arrays — no autograd tape.
-
-        Bitwise-identical to ``[t.data for t in self(mask)]`` (same
-        GEMM-backend products, same ufunc order); the compiled inference
-        engine calls this once per class and caches the result for every
-        chunk of a streaming run.
-        """
-        perf.incr("controlnet.forward_data")
-        pooled = self.pool_mask(mask)
-
-        def affine(layer: Linear, x: np.ndarray) -> np.ndarray:
-            out = _backend.matmul(x, layer.weight.data)
-            if layer.bias is not None:
-                out = out + layer.bias.data
-            return out
-
-        def silu(x: np.ndarray) -> np.ndarray:
-            sig = 1.0 / (1.0 + np.exp(-x))
-            return x * sig
-
-        h = silu(affine(self.encoder2, silu(affine(self.encoder1, pooled))))
-        return [affine(proj, h) for proj in self.zero_projections]
 
     def is_identity(self) -> bool:
         """True while every zero projection is still exactly zero."""

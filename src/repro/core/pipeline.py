@@ -227,8 +227,7 @@ class TextToTrafficPipeline:
         # dtype str -> (prompt_encoder, denoiser, controlnet) inference
         # clones; see _inference_modules.
         self._cast_cache: dict[str, tuple] = {}
-        # dtype str -> CompiledDenoiser (or None when the module tree is
-        # not compilable, e.g. live LoRA adapters); see _infer_engine.
+        # dtype str -> CompiledDenoiser; see _infer_engine.
         self._infer_engines: dict[str, object] = {}
 
     # -- representation -------------------------------------------------------
@@ -506,7 +505,7 @@ class TextToTrafficPipeline:
                         ema=ema,
                     )
             except _train.CompileError:
-                perf.incr("train.fallback_eager")
+                perf.incr("train.eager_fallback")
         if trainer is not None:
             # Steady-state batch-prep buffers for the compiled branch:
             # gathers and the forward-noising products write through
@@ -624,76 +623,31 @@ class TextToTrafficPipeline:
         return clones
 
     def _infer_engine(self, dtype):
-        """The cached :class:`~repro.core.infer.CompiledDenoiser`, or None.
+        """The cached :class:`~repro.core.infer.CompiledDenoiser`.
 
-        Built once per dtype from the same modules the eager path uses
-        and invalidated alongside the cast cache whenever the weights
-        change (fit / add_class).  ``None`` is cached when the module
-        tree is not compilable — live LoRA adapters before
-        ``merge_lora`` — so the eager fallback is decided once, not per
-        batch.
+        Built once per dtype from the inference modules and invalidated
+        alongside the cast cache whenever the weights change (fit /
+        add_class).  A module tree the plan cannot express raises
+        :class:`~repro.core.infer.CompileError`.
         """
         engines = getattr(self, "_infer_engines", None)
         if engines is None:
             engines = self._infer_engines = {}
         key = np.dtype(dtype or np.float64).str
-        if key not in engines:
-            _, denoiser, _ = self._inference_modules(dtype)
-            try:
-                with perf.timer("pipeline.compile_denoiser"):
-                    engines[key] = _infer.compile_denoiser(
-                        denoiser,
-                        batch=self.config.generation_batch,
-                        dtype=dtype,
-                    )
-            except _infer.CompileError:
-                perf.incr("infer.fallback_eager")
-                engines[key] = None
-        return engines[key]
-
-    def _compiled_eps_model(
-        self,
-        prompt: str,
-        n: int,
-        mask: np.ndarray | None,
-        guidance_weight: float,
-        dtype=None,
-    ):
-        """Compiled-engine eps closure, or None to fall back to eager.
-
-        Closures are cached on the engine per (prompt, rows, weight,
-        masked) — the projected class conditioning, ControlNet
-        injections and per-step time embeddings survive across batches,
-        chunks and the lifetime of a sharded worker process, so a
-        streaming run pays the conditioning hoist exactly once.
-        """
-        engine = self._infer_engine(dtype)
+        engine = engines.get(key)
         if engine is None:
-            return None
-        key = (prompt, int(n), float(guidance_weight), mask is not None)
-        cached = engine.eps_cache.get(key)
-        if cached is not None:
-            perf.incr("infer.eps_cache_hit")
-            return cached
-        prompt_encoder, _, controlnet = self._inference_modules(dtype)
-        with perf.timer("pipeline.hoist_conditioning"):
-            cond_full = prompt_encoder([prompt] * n).data
-            null_full = (
-                prompt_encoder([NULL_PROMPT] * n).data
-                if guidance_weight > 0 else None
+            prompt_encoder, denoiser, controlnet = (
+                self._inference_modules(dtype)
             )
-            controls_full = None
-            if mask is not None and controlnet is not None:
-                mask_batch = np.ascontiguousarray(
-                    np.broadcast_to(mask, (n, mask.shape[0]))
+            with perf.timer("pipeline.compile_denoiser"):
+                engine = engines[key] = _infer.compile_denoiser(
+                    denoiser,
+                    batch=self.config.generation_batch,
+                    dtype=dtype,
+                    prompt_encoder=prompt_encoder,
+                    controlnet=controlnet,
                 )
-                if dtype is not None:
-                    mask_batch = mask_batch.astype(dtype, copy=False)
-                controls_full = controlnet.forward_data(mask_batch)
-        return engine.eps_model(
-            cond_full, null_full, guidance_weight,
-            controls=controls_full, key=key,
-        )
+        return engine
 
     def _eps_model(
         self,
@@ -705,70 +659,19 @@ class TextToTrafficPipeline:
     ):
         """Closure evaluating (classifier-free-guided) noise prediction.
 
-        Fast path: prompts and the control mask are loop-invariant across
-        DDIM steps, so their encodings are hoisted out of the closure and
-        computed exactly once per sampler batch.  With guidance on, the
-        conditional and unconditional denoiser passes are fused into a
-        single ``2m``-row forward (the null half receives zero control
-        injections, reproducing ``controls=None``) — one denoiser call per
-        step instead of two, and zero prompt/ControlNet re-encodes inside
-        the step loop.
-
-        Under ``REPRO_INFER=compiled`` the closure instead comes from the
-        no-tape compiled plan (:mod:`repro.core.infer`) — bitwise-equal
-        at float64, conditioning cached across chunks — with a silent
-        eager fallback when the module tree is not compilable.
+        Runs the compiled plan (:mod:`repro.core.infer`).  Prompts and
+        the control mask are loop-invariant across DDIM steps: their
+        projections live in the engine's conditioning caches, built here
+        for ``n`` rows and reused by every later batch, chunk and served
+        request.  With guidance on, the conditional and unconditional
+        passes are fused into a single ``2m``-row forward (the null half
+        receives zero control injections) — one denoiser call per step.
         """
-        if _infer.infer_mode() == "compiled":
-            compiled = self._compiled_eps_model(
-                prompt, n, mask, guidance_weight, dtype=dtype
-            )
-            if compiled is not None:
-                return compiled
-        prompt_encoder, denoiser, controlnet = self._inference_modules(dtype)
+        engine = self._infer_engine(dtype)
         with perf.timer("pipeline.hoist_conditioning"):
-            cond_full = prompt_encoder([prompt] * n).data
-            null_full = (
-                prompt_encoder([NULL_PROMPT] * n).data
-                if guidance_weight > 0 else None
+            return engine.eps_model(
+                prompt, NULL_PROMPT, guidance_weight, mask=mask, rows=n,
             )
-            controls_full = None
-            if mask is not None and controlnet is not None:
-                # broadcast_to yields a read-only zero-stride view;
-                # materialize it so downstream reshapes are cheap and the
-                # batch is a normal writable array.
-                mask_batch = np.ascontiguousarray(
-                    np.broadcast_to(mask, (n, mask.shape[0]))
-                )
-                if dtype is not None:
-                    mask_batch = mask_batch.astype(dtype, copy=False)
-                controls_full = [c.data for c in controlnet(mask_batch)]
-
-        def eps(x_t: np.ndarray, t: np.ndarray) -> np.ndarray:
-            m = len(x_t)
-            if guidance_weight <= 0:
-                controls = None
-                if controls_full is not None:
-                    controls = [Tensor(c[:m]) for c in controls_full]
-                return denoiser(
-                    Tensor(x_t), t, Tensor(cond_full[:m]), controls
-                ).data
-            # Fused classifier-free guidance: [cond rows; null rows].
-            x2 = np.concatenate([x_t, x_t], axis=0)
-            t2 = np.concatenate([t, t], axis=0)
-            c2 = Tensor(np.concatenate([cond_full[:m], null_full[:m]], axis=0))
-            controls2 = None
-            if controls_full is not None:
-                controls2 = [
-                    Tensor(np.concatenate(
-                        [c[:m], np.zeros_like(c[:m])], axis=0))
-                    for c in controls_full
-                ]
-            out = denoiser(Tensor(x2), t2, c2, controls2).data
-            eps_cond, eps_null = out[:m], out[m:]
-            return (1 + guidance_weight) * eps_cond - guidance_weight * eps_null
-
-        return eps
 
     def sample_latents(
         self,
@@ -1139,10 +1042,11 @@ class TextToTrafficPipeline:
         Determinism contract (pinned by ``tests/test_serve.py``): each
         part's flows are byte-identical to a solo
         ``generate_raw(class_name, count, rng=rng)`` call with the same
-        options, for ``count <= generation_batch`` — whatever the other
-        parts in the group are, and in whatever order they appear.  This
-        is what lets the serving tier micro-batch concurrent requests
-        without perturbing any single request's output.
+        options — whatever the other parts in the group are, and in
+        whatever order they appear.  This is what lets the serving tier
+        micro-batch concurrent requests without perturbing any single
+        request's output.  A part may not exceed ``generation_batch``
+        (``generate_raw`` would split it into several batches).
         """
         self._require_fitted()
         if class_name not in self.class_masks:
@@ -1150,9 +1054,10 @@ class TextToTrafficPipeline:
         if not parts:
             raise ValueError("parts must be non-empty")
         counts = [int(count) for count, _ in parts]
-        if any(count < 1 for count in counts):
-            raise ValueError("every part count must be >= 1")
         cfg = self.config
+        if any(not 1 <= count <= cfg.generation_batch for count in counts):
+            raise ValueError(
+                f"every part count must lie in [1, {cfg.generation_batch}]")
         steps = steps or cfg.ddim_steps
         weight = (
             cfg.guidance_weight if guidance_weight is None

@@ -12,7 +12,7 @@ optimizer.  :func:`compile_training` removes all three, mirroring
   into a flat plan of raw-``ndarray`` kernels.  ``Linear -> SiLU`` and
   ``LayerNorm -> add-conditioning`` chains and their hand-derived
   backward passes run as in-place ufunc chains writing through ``out=``
-  into buffers from the shape-keyed refcount-guarded
+  into buffers from the refcount-guarded
   :class:`~repro.core.infer.WorkspacePool` — steady-state steps perform
   **zero** pool allocations (counter-pinned by
   ``tests/test_train_compiled.py``).
@@ -37,14 +37,14 @@ gradient, and the bitwise in-place Adam/EMA recipes from
 post-fit weights and therefore the fitted-pipeline cache digest are
 **bitwise identical** to the eager loop; the golden-loss tests gate it.
 
-Engine selection mirrors the inference switch: ``REPRO_TRAIN=eager``
-(default) or ``compiled``, read lazily on first use, with
+Engine selection: ``REPRO_TRAIN=compiled`` (default) or ``eager``,
+read lazily on first use, with
 :func:`set_train_mode` / :func:`use_train_mode` as programmatic
 overrides and ``repro fit --train-mode`` on the CLI.  Module trees or
 optimizer states the compiler does not recognise (live LoRA adapters,
 a warm optimizer, frozen-parameter mixes) raise
 :class:`~repro.core.infer.CompileError` and the pipeline falls back to
-eager for that phase, counted under ``train.fallback_eager``.
+eager for that phase, counted under ``train.eager_fallback``.
 """
 
 from __future__ import annotations
@@ -87,14 +87,14 @@ _active_mode: str | None = None
 def train_mode() -> str:
     """The active training engine: ``eager`` or ``compiled``.
 
-    Resolved from ``REPRO_TRAIN`` on first call (default ``eager``) and
+    Resolved from ``REPRO_TRAIN`` on first call (default ``compiled``) and
     cached; :func:`set_train_mode` overrides, ``set_train_mode(None)``
     re-reads the environment.
     """
     global _active_mode
     if _active_mode is None:
-        mode = os.environ.get("REPRO_TRAIN", "eager").strip().lower()
-        _active_mode = _validate_mode(mode or "eager")
+        mode = os.environ.get("REPRO_TRAIN", "compiled").strip().lower()
+        _active_mode = _validate_mode(mode or "compiled")
     return _active_mode
 
 

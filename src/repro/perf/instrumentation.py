@@ -20,13 +20,16 @@ e.g. *denoiser forwards per DDIM step* becomes an assertable quantity.
 
 Instrumentation must never change behaviour: counters are plain integer
 adds, timers are two ``perf_counter`` calls, and there is no sampling,
-no threads, no I/O.
+no threads, no I/O.  A registry is shared by every thread that records
+into it (the serving dispatcher, HTTP scrapes), so each read-modify-write
+and each read of the whole registry holds its lock.
 """
 
 from __future__ import annotations
 
 import bisect
 import functools
+import threading
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -124,17 +127,22 @@ class TimerStat:
 
 @dataclass
 class PerfRegistry:
-    """A named bag of counters and stage timers."""
+    """A named bag of counters and stage timers, safe to share across
+    threads: updates and whole-registry reads hold ``_lock``."""
 
     counters: dict[str, int] = field(default_factory=dict)
     timers: dict[str, TimerStat] = field(default_factory=dict)
     histograms: dict[str, HistogramStat] = field(default_factory=dict)
+    _lock: threading.RLock = field(
+        default_factory=threading.RLock, repr=False, compare=False
+    )
 
     # -- counters -----------------------------------------------------------
     def incr(self, name: str, n: int = 1) -> int:
         """Add ``n`` to counter ``name`` (creating it at 0); returns the total."""
-        total = self.counters.get(name, 0) + n
-        self.counters[name] = total
+        with self._lock:
+            total = self.counters.get(name, 0) + n
+            self.counters[name] = total
         return total
 
     def count(self, name: str) -> int:
@@ -149,10 +157,12 @@ class PerfRegistry:
         try:
             yield self
         finally:
-            stat = self.timers.get(name)
-            if stat is None:
-                stat = self.timers[name] = TimerStat()
-            stat.add(time.perf_counter() - start)
+            elapsed = time.perf_counter() - start
+            with self._lock:
+                stat = self.timers.get(name)
+                if stat is None:
+                    stat = self.timers[name] = TimerStat()
+                stat.add(elapsed)
 
     def timed(self, name: str | None = None):
         """Decorator: time every call of the wrapped function.
@@ -182,60 +192,51 @@ class PerfRegistry:
         histogram is first created; later observations reuse the existing
         bounds so merges stay well-defined.
         """
-        hist = self.histograms.get(name)
-        if hist is None:
-            hist = self.histograms[name] = HistogramStat.with_bounds(buckets)
-        hist.observe(value)
+        with self._lock:
+            hist = self.histograms.get(name)
+            if hist is None:
+                hist = self.histograms[name] = HistogramStat.with_bounds(
+                    buckets)
+            hist.observe(value)
 
     def histogram(self, name: str) -> HistogramStat | None:
-        """The histogram named ``name`` (None if never observed)."""
-        return self.histograms.get(name)
+        """A consistent copy of histogram ``name`` (None if never observed)."""
+        with self._lock:
+            hist = self.histograms.get(name)
+            if hist is None:
+                return None
+            return HistogramStat(hist.bounds, list(hist.counts), hist.total)
 
     # -- lifecycle / reporting ----------------------------------------------
     def reset(self) -> None:
         """Drop every counter, timer and histogram."""
-        self.counters.clear()
-        self.timers.clear()
-        self.histograms.clear()
+        with self._lock:
+            self.counters.clear()
+            self.timers.clear()
+            self.histograms.clear()
 
     def snapshot(self) -> dict:
-        """A plain-dict view (JSON-serialisable) of the current state."""
-        return {
-            "counters": dict(self.counters),
-            "timers": {
-                name: {"calls": t.calls, "seconds": t.seconds}
-                for name, t in self.timers.items()
-            },
-            "histograms": {
-                name: {
-                    "bounds": list(h.bounds),
-                    "counts": list(h.counts),
-                    "total": h.total,
-                }
-                for name, h in self.histograms.items()
-            },
-        }
+        """A plain-dict copy (JSON-serialisable) of the current state."""
+        with self._lock:
+            return {
+                "counters": dict(self.counters),
+                "timers": {
+                    name: {"calls": t.calls, "seconds": t.seconds}
+                    for name, t in self.timers.items()
+                },
+                "histograms": {
+                    name: {
+                        "bounds": list(h.bounds),
+                        "counts": list(h.counts),
+                        "total": h.total,
+                    }
+                    for name, h in self.histograms.items()
+                },
+            }
 
     def merge(self, other: "PerfRegistry") -> None:
         """Fold another registry's totals into this one."""
-        for name, n in other.counters.items():
-            self.incr(name, n)
-        for name, stat in other.timers.items():
-            mine = self.timers.get(name)
-            if mine is None:
-                mine = self.timers[name] = TimerStat()
-            mine.calls += stat.calls
-            mine.seconds += stat.seconds
-        for name, hist in other.histograms.items():
-            mine_h = self.histograms.get(name)
-            if mine_h is None:
-                self.histograms[name] = HistogramStat(
-                    bounds=hist.bounds,
-                    counts=list(hist.counts),
-                    total=hist.total,
-                )
-            else:
-                mine_h.merge(hist)
+        self.merge_snapshot(other.snapshot())
 
     @classmethod
     def from_snapshot(cls, snapshot: dict) -> "PerfRegistry":
@@ -245,25 +246,37 @@ class PerfRegistry:
         perf totals back to the parent as plain JSON-serialisable data.
         """
         registry = cls()
-        registry.counters.update(snapshot.get("counters", {}))
-        for name, stat in snapshot.get("timers", {}).items():
-            registry.timers[name] = TimerStat(
-                calls=int(stat["calls"]), seconds=float(stat["seconds"])
-            )
-        for name, h in snapshot.get("histograms", {}).items():
-            registry.histograms[name] = HistogramStat(
-                bounds=tuple(float(b) for b in h["bounds"]),
-                counts=[int(c) for c in h["counts"]],
-                total=float(h["total"]),
-            )
+        registry.merge_snapshot(snapshot)
         return registry
 
     def merge_snapshot(self, snapshot: dict) -> None:
         """Fold a :meth:`snapshot` dict (e.g. from a child process) in."""
-        self.merge(self.from_snapshot(snapshot))
+        with self._lock:
+            for name, n in snapshot.get("counters", {}).items():
+                self.counters[name] = self.counters.get(name, 0) + n
+            for name, stat in snapshot.get("timers", {}).items():
+                mine = self.timers.get(name)
+                if mine is None:
+                    mine = self.timers[name] = TimerStat()
+                mine.calls += int(stat["calls"])
+                mine.seconds += float(stat["seconds"])
+            for name, h in snapshot.get("histograms", {}).items():
+                hist = HistogramStat(
+                    bounds=tuple(float(b) for b in h["bounds"]),
+                    counts=[int(c) for c in h["counts"]],
+                    total=float(h["total"]),
+                )
+                mine_h = self.histograms.get(name)
+                if mine_h is None:
+                    self.histograms[name] = hist
+                else:
+                    mine_h.merge(hist)
 
     def render(self, title: str = "perf report") -> str:
         """A fixed-width text report of timers then counters."""
+        return PerfRegistry.from_snapshot(self.snapshot())._render(title)
+
+    def _render(self, title: str) -> str:
         lines = [title, "=" * len(title)]
         if self.timers:
             lines.append("")

@@ -14,6 +14,7 @@ from repro.serve.service import (
     GenerateRequest,
     GenerationService,
     RequestExpired,
+    RequestTooLarge,
     ServiceClosed,
     ServiceOverloaded,
     request_rng,
@@ -27,6 +28,7 @@ __all__ = [
     "ModelNotFound",
     "ModelStore",
     "RequestExpired",
+    "RequestTooLarge",
     "ServiceClosed",
     "ServiceOverloaded",
     "render_prometheus",

@@ -14,8 +14,10 @@ Routes:
   "request_id": int?, "model": str?, "steps": int?, "timeout": float?}``;
   responds with a pcap body (``application/vnd.tcpdump.pcap``) plus
   ``X-Repro-Request-Id`` / ``X-Repro-Flows`` / ``X-Repro-Packets``
-  headers.  429 when the queue is full, 504 on deadline, 404 for an
-  unknown class or model, 503 while draining.
+  headers.  400 for a malformed body or out-of-range field, 413 for a
+  body over :data:`MAX_BODY_BYTES` or a ``count`` above one batch, 429
+  when the queue is full, 504 on deadline, 404 for an unknown class or
+  model, 503 while draining.
 * ``GET /healthz`` — 200 once a default model is resolvable, 503 before
   that and while draining.
 * ``GET /metrics`` — Prometheus text format 0.0.4
@@ -35,6 +37,7 @@ from repro.serve.service import (
     GenerateRequest,
     GenerationService,
     RequestExpired,
+    RequestTooLarge,
     ServiceClosed,
     ServiceOverloaded,
 )
@@ -44,6 +47,9 @@ from repro.serve.service import (
 DEFAULT_RESULT_TIMEOUT = 60.0
 
 PCAP_CONTENT_TYPE = "application/vnd.tcpdump.pcap"
+
+#: largest ``/generate`` body accepted; a request is a few short fields
+MAX_BODY_BYTES = 64 * 1024
 
 
 def _render_pcap(flows) -> tuple[bytes, int]:
@@ -108,18 +114,48 @@ class _Handler(BaseHTTPRequestHandler):
             reason = "draining" if service.draining else "no model"
             self._reply_json(503, {"status": reason})
 
-    def _generate(self) -> None:
-        service = self.server.service
+    def _read_payload(self) -> dict | None:
+        """The JSON body, or None after replying 400 / 413."""
         try:
             length = int(self.headers.get("Content-Length", 0))
+        except ValueError:
+            length = -1
+        if length < 0:
+            self.close_connection = True
+            self._reply_json(400, {"error": "bad Content-Length"})
+            return None
+        if length > MAX_BODY_BYTES:
+            # The body stays unread: drop the connection after replying.
+            self.close_connection = True
+            self._reply_json(413, {
+                "error": f"body over {MAX_BODY_BYTES} bytes"})
+            return None
+        try:
             payload = json.loads(self.rfile.read(length) or b"{}")
+        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+            self._reply_json(400, {"error": f"bad request: {exc}"})
+            return None
+        if not isinstance(payload, dict):
+            self._reply_json(400, {"error": "body must be a JSON object"})
+            return None
+        return payload
+
+    def _generate(self) -> None:
+        service = self.server.service
+        payload = self._read_payload()
+        if payload is None:
+            return
+        try:
+            model = payload.get("model")
+            if model is not None and not isinstance(model, str):
+                raise ValueError("model must be a string")
             request = GenerateRequest(
                 request_id=int(
                     payload.get("request_id", service.next_request_id())
                 ),
                 class_name=str(payload["class"]),
                 count=int(payload.get("count", 1)),
-                model=payload.get("model"),
+                model=model,
                 steps=(int(payload["steps"])
                        if payload.get("steps") is not None else None),
                 guidance_weight=(
@@ -129,7 +165,9 @@ class _Handler(BaseHTTPRequestHandler):
             )
             timeout = payload.get("timeout")
             timeout = float(timeout) if timeout is not None else None
-        except (KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
+            if timeout is not None and not 0 <= timeout < 1e9:
+                raise ValueError("timeout must lie in [0, 1e9) seconds")
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             self._reply_json(400, {"error": f"bad request: {exc}"})
             return
 
@@ -140,6 +178,12 @@ class _Handler(BaseHTTPRequestHandler):
             return
         except ServiceClosed as exc:
             self._reply_json(503, {"error": str(exc)})
+            return
+        except RequestTooLarge as exc:
+            self._reply_json(413, {"error": str(exc)})
+            return
+        except ValueError as exc:
+            self._reply_json(400, {"error": f"bad request: {exc}"})
             return
 
         wait = timeout if timeout is not None else (

@@ -121,27 +121,30 @@ def render_prometheus(service=None, registry: PerfRegistry | None = None,
         if hist is not None:
             _histogram_lines(metric, hist, out)
 
+    # One consistent copy: other threads keep recording while we format.
+    snap = reg.snapshot()
+    counters, timers = snap["counters"], snap["timers"]
     out.append("# HELP repro_perf_counter_total repro.perf counters.")
     out.append("# TYPE repro_perf_counter_total counter")
-    for name in sorted(reg.counters):
+    for name in sorted(counters):
         out.append(
             f'repro_perf_counter_total{{name="{_escape(name)}"}} '
-            f"{reg.counters[name]}"
+            f"{counters[name]}"
         )
 
     out.append("# HELP repro_perf_timer_seconds_total repro.perf stage "
                "wall-clock.")
     out.append("# TYPE repro_perf_timer_seconds_total counter")
-    for name in sorted(reg.timers):
+    for name in sorted(timers):
         out.append(
             f'repro_perf_timer_seconds_total{{stage="{_escape(name)}"}} '
-            f"{repr(float(reg.timers[name].seconds))}"
+            f"{repr(float(timers[name]['seconds']))}"
         )
     out.append("# HELP repro_perf_timer_calls_total repro.perf stage calls.")
     out.append("# TYPE repro_perf_timer_calls_total counter")
-    for name in sorted(reg.timers):
+    for name in sorted(timers):
         out.append(
             f'repro_perf_timer_calls_total{{stage="{_escape(name)}"}} '
-            f"{reg.timers[name].calls}"
+            f"{timers[name]['calls']}"
         )
     return "\n".join(out) + "\n"

@@ -29,6 +29,7 @@ admission, serves everything already queued, then stops the dispatcher.
 from __future__ import annotations
 
 import itertools
+import math
 import queue
 import threading
 import time
@@ -74,6 +75,10 @@ class RequestExpired(TimeoutError):
     """The request's deadline passed while it waited in the queue (504)."""
 
 
+class RequestTooLarge(ValueError):
+    """The request asks for more flows than one batch serves (HTTP 413)."""
+
+
 @dataclass(frozen=True)
 class GenerateRequest:
     """One generation request.
@@ -95,6 +100,13 @@ class GenerateRequest:
     def __post_init__(self) -> None:
         if self.count < 1:
             raise ValueError("count must be >= 1")
+        if self.request_id < 0:
+            raise ValueError("request_id must be >= 0")
+        if self.steps is not None and self.steps < 1:
+            raise ValueError("steps must be >= 1")
+        if self.guidance_weight is not None \
+                and not math.isfinite(self.guidance_weight):
+            raise ValueError("guidance_weight must be finite")
 
     def group_key(self) -> tuple:
         """Requests with equal keys may share one coalesced forward."""
@@ -231,13 +243,16 @@ class GenerationService:
     ) -> Future:
         """Queue a request; the future resolves to a ``GenerationResult``.
 
-        Raises :class:`ServiceClosed` when draining and
+        Raises :class:`ServiceClosed` when draining,
+        :class:`RequestTooLarge` / ``ValueError`` for a request outside
+        the model's bounds (see :meth:`check_bounds`) and
         :class:`ServiceOverloaded` when the bounded queue is full.
         ``timeout`` (or ``default_timeout``) is the queue-wait deadline.
         """
         if self._closed:
             perf.incr("serve.rejected_closed")
             raise ServiceClosed("service is draining")
+        self.check_bounds(request)
         if timeout is None:
             timeout = self.default_timeout
         now = time.monotonic()
@@ -256,6 +271,34 @@ class GenerationService:
             ) from None
         perf.incr("serve.requests")
         return entry.future
+
+    def check_bounds(self, request: GenerateRequest) -> None:
+        """Refuse what the serving contract cannot honour.
+
+        A request is served in one sampler batch, so ``count`` may not
+        exceed ``max_batch_flows`` or the model's ``generation_batch``
+        (``generate_raw`` would split a larger count into batches, and
+        the served bytes would differ from it).  ``steps`` must lie in
+        ``[1, timesteps]``.  A model that does not resolve is left to the
+        dispatcher, which fails that request alone.
+        """
+        if request.count > self.max_batch_flows:
+            perf.incr("serve.rejected_too_large")
+            raise RequestTooLarge(
+                f"count {request.count} exceeds the batch limit "
+                f"{self.max_batch_flows}")
+        try:
+            config = self._resolve(request.model).config
+        except (KeyError, ValueError):
+            return
+        if request.count > config.generation_batch:
+            perf.incr("serve.rejected_too_large")
+            raise RequestTooLarge(
+                f"count {request.count} exceeds the model's generation "
+                f"batch {config.generation_batch}")
+        if request.steps is not None and request.steps > config.timesteps:
+            raise ValueError(
+                f"steps must lie in [1, {config.timesteps}]")
 
     def generate(
         self, request: GenerateRequest, timeout: float | None = None

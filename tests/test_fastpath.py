@@ -6,9 +6,9 @@ Two guarantees:
   bitwise-identical latents to the pre-change per-step two-forward path
   (reimplemented here as ``_legacy_eps_model``) under a fixed rng seed.
 * **Work regression** — ``sample_latents`` performs exactly one denoiser
-  forward per DDIM step per batch, and exactly two prompt encodes plus
-  one ControlNet encode per batch (zero re-encodes inside the step
-  loop), asserted via the perf counters.
+  forward per DDIM step per batch, and a fresh inference engine exactly
+  two prompt encodes plus one ControlNet encode (zero re-encodes inside
+  the step loop or in later batches), asserted via the perf counters.
 """
 
 import numpy as np
@@ -100,6 +100,9 @@ class TestGoldenParity:
 
 class TestForwardCountRegression:
     def _counters_for(self, fitted, **kwargs):
+        # A fresh engine: conditioning is cached per engine, so a warm
+        # one re-encodes nothing at all.
+        fitted._invalidate_cast_cache()
         registry = perf.get_registry()
         before = dict(registry.counters)
         fitted.sample_latents(**kwargs)
@@ -122,8 +125,8 @@ class TestForwardCountRegression:
         assert delta["pipeline.sample_batches"] == 1
         # Fused CFG: one forward per DDIM step, not two.
         assert delta["denoiser.forward"] == steps
-        # Conditioning is hoisted: cond + null prompt encodes once per
-        # batch, one ControlNet encode per batch, zero inside the loop.
+        # Conditioning is hoisted: cond + null prompt encodes once, one
+        # ControlNet encode, zero inside the loop.
         assert delta["prompt_encoder.forward"] == 2
         assert delta["controlnet.forward"] == 1
 
@@ -140,8 +143,11 @@ class TestForwardCountRegression:
             fitted.config.generation_batch = original
         assert delta["pipeline.sample_batches"] == 3
         assert delta["denoiser.forward"] == 3 * steps
-        assert delta["prompt_encoder.forward"] == 6
-        assert delta["controlnet.forward"] == 3
+        # Batches 3, 3, 1 share the engine's conditioning: the prompts
+        # are encoded once; the 1-row tail projects its own controls
+        # (a 1-row GEMM rounds differently from the 3-row block).
+        assert delta["prompt_encoder.forward"] == 2
+        assert delta["controlnet.forward"] == 2
 
     def test_unguided_sampling_also_one_forward_per_step(self, fitted):
         steps = 7
@@ -194,6 +200,7 @@ class TestMaterializedMaskBatch:
             return original(mask)
 
         fitted.controlnet.pool_mask = capture
+        fitted._invalidate_cast_cache()  # a fresh engine encodes the mask
         try:
             fitted.sample_latents(
                 "netflix", 3, steps=2, rng=np.random.default_rng(0))

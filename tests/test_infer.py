@@ -1,21 +1,23 @@
-"""Compiled inference engine: parity, allocation, and cache guarantees.
+"""Compiled inference engine: parity, allocation, cache and memory guarantees.
 
-Four guarantees pinned here:
+The compiled plan is the only sampling path; the module forwards
+(``ConditionalDenoiser`` / ``PromptEncoder`` / ``ControlNetBranch`` on
+the autograd tape) are the oracle it is held to.  Guarantees pinned here:
 
-* **Bitwise parity** — float64 latents from the compiled plan
-  (``REPRO_INFER=compiled``) are bitwise identical to the eager sampler,
-  with and without ControlNet, guided and unguided, under both GEMM
-  backends, and for tail batches that don't fill ``generation_batch``.
-  The float32 tier is held to the same standard (bitwise today; the
-  engine contract only promises tolerance there).
+* **Bitwise parity** — float64 latents from the compiled plan are
+  bitwise identical to a DDIM run over the module forwards, with and
+  without ControlNet, guided and unguided, under both GEMM backends,
+  for tail batches that don't fill ``generation_batch``, for float32,
+  and for live LoRA adapters before and after ``merge_lora``.
+* **Row invariance** — every conditioning block (``t_hidden``, class
+  conditioning, ControlNet injections) sliced to ``rows`` equals the
+  module forward at exactly ``rows`` rows, for 1..2x ``generation_batch``.
 * **Zero-allocation steady state** — after one warm-up sample, further
-  sampling performs zero workspace allocations (``infer.ws_miss`` /
-  ``infer.ws_bytes`` deltas are exactly 0 while ``infer.ws_hit`` climbs).
+  sampling performs zero workspace allocations.
+* **Bounded memory** — an engine driven through many row counts retains
+  no more bytes than one driven at the largest count alone.
 * **Cross-chunk conditioning cache** — a multi-chunk streaming run pays
   the prompt/ControlNet/time-embedding hoist once, not once per chunk.
-* **Graceful fallback** — module trees the compiler cannot express (live
-  LoRA adapters) raise :class:`~repro.core.infer.CompileError` and the
-  pipeline silently falls back to eager with identical output.
 """
 
 import copy
@@ -24,22 +26,22 @@ import numpy as np
 import pytest
 
 from repro import perf
-from repro.core.denoiser import (
-    sinusoidal_time_embedding,
-    time_embedding_row,
-)
+from repro.core.ddim import DDIMSampler
+from repro.core.denoiser import sinusoidal_time_embedding
 from repro.core.infer import (
     CompiledDenoiser,
     CompileError,
     WorkspacePool,
     compile_denoiser,
-    infer_mode,
-    set_infer_mode,
-    use_infer_mode,
+    time_embedding_row,
 )
 from repro.core.lora import inject_lora, merge_lora
-from repro.core.pipeline import PipelineConfig, TextToTrafficPipeline
-from repro.ml.nn import Linear, Tensor
+from repro.core.pipeline import (
+    NULL_PROMPT,
+    PipelineConfig,
+    TextToTrafficPipeline,
+)
+from repro.ml.nn import Tensor
 from repro.ml.nn.backend import set_backend, use_backend
 from repro.traffic.dataset import generate_app_flows
 
@@ -58,20 +60,77 @@ def fitted():
 
 
 @pytest.fixture(autouse=True)
-def _reset_engine_state():
-    set_infer_mode(None)
+def _reset_backend():
     set_backend(None)
     yield
-    set_infer_mode(None)
     set_backend(None)
+
+
+# -- the module-forward oracle ----------------------------------------------
+
+
+def _tape_eps(pipeline, prompt, n, mask, guidance_weight, dtype=None):
+    """eps over the module forwards: fused CFG, hoisted conditioning."""
+    prompt_encoder, denoiser, controlnet = pipeline._inference_modules(dtype)
+    cond = prompt_encoder([prompt] * n).data
+    null = prompt_encoder([NULL_PROMPT] * n).data
+    controls = None
+    if mask is not None and controlnet is not None:
+        batch = np.ascontiguousarray(np.broadcast_to(mask, (n, len(mask))))
+        if dtype is not None:
+            batch = batch.astype(dtype)
+        controls = [c.data for c in controlnet(batch)]
+
+    def eps(x_t, t):
+        m = len(x_t)
+        if guidance_weight <= 0:
+            ctrl = None
+            if controls is not None:
+                ctrl = [Tensor(c[:m]) for c in controls]
+            return denoiser(Tensor(x_t), t, Tensor(cond[:m]), ctrl).data
+        x2 = np.concatenate([x_t, x_t])
+        t2 = np.concatenate([t, t])
+        c2 = Tensor(np.concatenate([cond[:m], null[:m]]))
+        ctrl = None
+        if controls is not None:
+            ctrl = [Tensor(np.concatenate([c[:m], np.zeros_like(c[:m])]))
+                    for c in controls]
+        out = denoiser(Tensor(x2), t2, c2, ctrl).data
+        return (1 + guidance_weight) * out[:m] - guidance_weight * out[m:]
+
+    return eps
+
+
+def _tape_latents(pipeline, class_name, n, steps, rng, dtype=None,
+                  guidance_weight=None, use_control=True):
+    """``sample_latents`` with the module forwards in place of the plan."""
+    cfg = pipeline.config
+    weight = (cfg.guidance_weight if guidance_weight is None
+              else guidance_weight)
+    prompt = pipeline.codebook.prompt_for(class_name)
+    mask = pipeline.class_masks.get(class_name) if use_control else None
+    sampler = DDIMSampler(pipeline.diffusion)
+    out = []
+    remaining = n
+    while remaining > 0:
+        batch = min(remaining, cfg.generation_batch)
+        eps = _tape_eps(pipeline, prompt, batch, mask, weight, dtype)
+        out.append(sampler.sample(
+            eps, (batch, pipeline.codec.latent_dim), rng,
+            steps=steps, dtype=dtype))
+        remaining -= batch
+    return np.concatenate(out)
 
 
 def _latents(pipeline, mode, n=6, steps=8, seed=21, dtype=None, **kwargs):
-    with use_infer_mode(mode):
-        return pipeline.sample_latents(
-            "netflix", n, steps=steps,
-            rng=np.random.default_rng(seed), dtype=dtype, **kwargs,
-        )
+    """``mode='eager'``: the module-forward oracle; ``'compiled'``: the
+    pipeline's own sampler."""
+    rng = np.random.default_rng(seed)
+    if mode == "eager":
+        return _tape_latents(pipeline, "netflix", n, steps, rng,
+                             dtype=dtype, **kwargs)
+    return pipeline.sample_latents(
+        "netflix", n, steps=steps, rng=rng, dtype=dtype, **kwargs)
 
 
 class TestBitwiseParity:
@@ -98,15 +157,19 @@ class TestBitwiseParity:
         assert np.array_equal(ref, got)
 
     def test_fp64_tail_batches(self, fitted):
-        """n that doesn't divide generation_batch exercises tail rows."""
+        """n that doesn't divide generation_batch exercises tail rows,
+        including a 1-row tail."""
         original = fitted.config.generation_batch
-        fitted.config.generation_batch = 5
+        fitted.config.generation_batch = 4
         try:
-            ref = _latents(fitted, "eager", n=13, steps=6)
-            got = _latents(fitted, "compiled", n=13, steps=6)
+            for weight in (2.0, 0.0):
+                ref = _latents(fitted, "eager", n=13, steps=6,
+                               guidance_weight=weight)
+                got = _latents(fitted, "compiled", n=13, steps=6,
+                               guidance_weight=weight)
+                assert np.array_equal(ref, got)
         finally:
             fitted.config.generation_batch = original
-        assert np.array_equal(ref, got)
 
     def test_fp32_matches_eager_tier(self, fitted):
         ref = _latents(fitted, "eager", dtype=np.float32)
@@ -118,17 +181,96 @@ class TestBitwiseParity:
         assert np.array_equal(ref, got)
 
     def test_generate_flows_identical(self, fitted):
-        with use_infer_mode("compiled"):
-            flows = fitted.generate(
-                "netflix", 4, rng=np.random.default_rng(11))
-        with use_infer_mode("eager"):
-            ref_flows = fitted.generate(
-                "netflix", 4, rng=np.random.default_rng(11))
-        assert len(flows) == len(ref_flows)
-        for a, b in zip(flows, ref_flows):
-            assert len(a) == len(b)
+        flows = fitted.generate("netflix", 4, rng=np.random.default_rng(11))
+        rng = np.random.default_rng(11)
+        latents = _tape_latents(fitted, "netflix", 4,
+                                fitted.config.ddim_steps, rng)
+        ref_flows = fitted._finalize_latents(latents, "netflix", rng=rng)
+        assert len(flows) == len(ref_flows.flows)
+        for a, b in zip(flows, ref_flows.flows):
+            assert [p.to_bytes() for p in a.packets] == \
+                   [p.to_bytes() for p in b.packets]
             assert [p.timestamp for p in a.packets] == \
                    [p.timestamp for p in b.packets]
+
+
+class TestRowInvariance:
+    """Conditioning blocks sliced to ``rows`` equal the module forward at
+    exactly ``rows`` rows, from 1 to 2x ``generation_batch``."""
+
+    @pytest.mark.parametrize("dtype", [None, np.float32])
+    def test_blocks_match_module_forwards(self, fitted, dtype):
+        fitted._invalidate_cast_cache()
+        engine = fitted._infer_engine(dtype)
+        prompt_encoder, denoiser, controlnet = fitted._inference_modules(
+            dtype)
+        dt = np.dtype(dtype or np.float64)
+        top = 2 * fitted.config.generation_batch
+        prompt = fitted.codebook.prompt_for("netflix")
+        mask = fitted.class_masks["netflix"]
+        key = mask.tobytes()
+        timestep = 37
+        # Grow every block to the top row count first, so every smaller
+        # lookup below is a leading-row view of that one block.
+        engine.t_hidden(timestep, top)
+        engine.cond_hidden(prompt, NULL_PROMPT, top)
+        engine.cond_hidden(prompt, None, top)
+        engine.controls(mask, key, top)
+
+        enc = prompt_encoder([prompt]).data
+        null = prompt_encoder([NULL_PROMPT]).data
+        emb = sinusoidal_time_embedding(
+            np.full(top, timestep), denoiser.time_dim).astype(dt)
+        masks = np.repeat(mask[None, :], top, axis=0).astype(dt)
+        for rows in range(1, top + 1):
+            ref_t = denoiser.time_proj2(
+                denoiser.time_proj1(Tensor(emb[:rows])).silu()).data
+            assert np.array_equal(engine.t_hidden(timestep, rows), ref_t)
+
+            fused = np.concatenate([np.repeat(enc, rows, axis=0),
+                                    np.repeat(null, rows, axis=0)])
+            ref_c = denoiser.cond_proj(Tensor(fused)).data
+            got_c, got_null = engine.cond_hidden(prompt, NULL_PROMPT, rows)
+            assert np.array_equal(got_c, ref_c[:rows])
+            assert np.array_equal(got_null, ref_c[rows:])
+            ref_u = denoiser.cond_proj(
+                Tensor(np.repeat(enc, rows, axis=0))).data
+            assert np.array_equal(engine.cond_hidden(prompt, None, rows)[0],
+                                  ref_u)
+
+            ref_ctrl = [c.data for c in controlnet(masks[:rows])]
+            got_ctrl = engine.controls(mask, key, rows)
+            assert all(np.array_equal(g, r)
+                       for g, r in zip(got_ctrl, ref_ctrl))
+        # One block per key (plus the 1-row entries): nothing per rows.
+        assert len(engine._t_blocks.blocks) == 2
+        assert len(engine._cond_blocks.blocks) == 3
+        assert len(engine._ctrl_blocks.blocks) == 2
+
+
+class TestMemoryBound:
+    @staticmethod
+    def _drive(fitted, counts):
+        prompt_encoder, denoiser, controlnet = fitted._inference_modules(
+            None)
+        engine = compile_denoiser(
+            denoiser, prompt_encoder=prompt_encoder, controlnet=controlnet)
+        prompt = fitted.codebook.prompt_for("netflix")
+        mask = fitted.class_masks["netflix"]
+        sampler = DDIMSampler(fitted.diffusion)
+        for m in counts:
+            eps = engine.eps_model(prompt, NULL_PROMPT, 2.0, mask=mask)
+            sampler.sample(eps, (m, denoiser.latent_dim),
+                           np.random.default_rng(m), steps=3)
+        return engine
+
+    def test_retained_bytes_independent_of_row_counts(self, fitted):
+        many = self._drive(fitted, range(2, 36))
+        largest = self._drive(fitted, [35])
+        assert many.retained_bytes() <= largest.retained_bytes()
+        # Leading-row views: no key holds more than the largest batch.
+        for key, bucket in many.pool._store.items():
+            assert len(bucket) <= len(largest.pool._store[key])
 
 
 class TestSteadyStateAllocation:
@@ -145,11 +287,10 @@ class TestSteadyStateAllocation:
 
     def test_prewarm_leaves_first_step_allocation_free(self, fitted):
         engine = compile_denoiser(
-            fitted.denoiser, batch=4, dtype=None)
+            fitted.denoiser, batch=4, dtype=None,
+            prompt_encoder=fitted.prompt_encoder)
+        eps = engine.eps_model("x", "y", 2.0, rows=4)
         miss0 = perf.counter("infer.ws_miss")
-        cond = fitted.prompt_encoder(["x"] * 4).data
-        null = fitted.prompt_encoder(["y"] * 4).data
-        eps = engine.eps_model(cond, null, 2.0)
         x = np.zeros((4, fitted.denoiser.latent_dim))
         out = eps(x, np.full(4, 3, dtype=np.int64))
         assert out.shape == (4, fitted.denoiser.latent_dim)
@@ -159,20 +300,45 @@ class TestSteadyStateAllocation:
         pool = WorkspacePool()
         a = pool.take((4, 8), np.float64)
         b = pool.take((4, 8), np.float64)  # a still held -> new buffer
-        assert a is not b
-        a_id, b_id = id(a), id(b)
+        assert a.base is not b.base
+        a_id, b_id = id(a.base), id(b.base)
         del a, b
         c = pool.take((4, 8), np.float64)
-        assert id(c) in (a_id, b_id)
-        # Different shape or dtype never aliases.
+        assert id(c.base) in (a_id, b_id)
+        # Different trailing shape or dtype never aliases.
         d = pool.take((4, 8), np.float32)
-        assert id(d) not in (a_id, b_id)
+        e = pool.take((4, 9), np.float64)
+        assert id(d.base) not in (a_id, b_id)
+        assert id(e.base) not in (a_id, b_id)
+
+    def test_pool_hands_out_leading_rows_of_one_arena(self):
+        pool = WorkspacePool()
+        big = pool.take((8, 4), np.float64)
+        arena_id = id(big.base)
+        del big
+        small = pool.take((3, 4), np.float64)
+        assert small.shape == (3, 4) and small.flags.c_contiguous
+        assert id(small.base) == arena_id
+        del small
+        grown = pool.take((16, 4), np.float64)  # regrows the free arena
+        assert grown.shape == (16, 4)
+        key = ((4,), np.dtype(np.float64).str)
+        assert len(pool._store[key]) == 1
+        assert pool.nbytes() == 16 * 4 * 8
+
+    def test_pool_skips_arena_behind_held_view(self):
+        pool = WorkspacePool()
+        a = pool.take((4, 8), np.float64)
+        view = a[:2]
+        del a
+        b = pool.take((4, 8), np.float64)
+        assert b.base is not view.base
 
     def test_pool_bounded_per_key(self):
         pool = WorkspacePool()
         held = [pool.take((2, 2), np.float64)
                 for _ in range(WorkspacePool._MAX_PER_KEY + 3)]
-        key = ((2, 2), np.dtype(np.float64).str)
+        key = ((2,), np.dtype(np.float64).str)
         assert len(pool._store[key]) == WorkspacePool._MAX_PER_KEY
         del held
         pool.clear()
@@ -183,8 +349,8 @@ class TestForwardCounter:
     @pytest.mark.parametrize("mode", ["eager", "compiled"])
     @pytest.mark.parametrize("dtype", [None, np.float32])
     def test_one_denoiser_forward_per_ddim_step(self, fitted, mode, dtype):
-        """Both engines count a fused CFG forward as ``denoiser.forward``,
-        one per DDIM step per sampler batch."""
+        """The module forward and the plan both count a fused CFG forward
+        as ``denoiser.forward``, one per DDIM step per sampler batch."""
         _latents(fitted, mode, n=3, steps=2, dtype=dtype)  # warm the engine
         registry = perf.get_registry()
         before = registry.count("denoiser.forward")
@@ -200,36 +366,59 @@ class TestConditioningCache:
     def test_stream_hoists_conditioning_once(self, fitted):
         """Chunks 2..k of a streaming run re-encode nothing."""
         registry = perf.get_registry()
-        with use_infer_mode("compiled"):
-            list(fitted.generate_stream(
-                "netflix", 4, chunk=4,
-                rng=np.random.default_rng(0)))  # build engine + closure
-            before = dict(registry.counters)
-            chunks = list(fitted.generate_stream(
-                "netflix", 12, chunk=4, rng=np.random.default_rng(1)))
+        list(fitted.generate_stream(
+            "netflix", 4, chunk=4,
+            rng=np.random.default_rng(0)))  # build engine + caches
+        before = dict(registry.counters)
+        chunks = list(fitted.generate_stream(
+            "netflix", 12, chunk=4, rng=np.random.default_rng(1)))
         assert len(chunks) == 3
         delta = {
             name: registry.count(name) - before.get(name, 0)
             for name in (
-                "prompt_encoder.forward", "controlnet.forward_data",
-                "infer.eps_cache_hit", "infer.t_cache_miss",
+                "prompt_encoder.forward", "controlnet.forward",
+                "infer.cond_cache_miss", "infer.ctrl_cache_miss",
+                "infer.t_cache_miss", "infer.t_cache_hit",
             )
         }
         assert delta["prompt_encoder.forward"] == 0
-        assert delta["controlnet.forward_data"] == 0
-        assert delta["infer.eps_cache_hit"] == 3
+        assert delta["controlnet.forward"] == 0
+        assert delta["infer.cond_cache_miss"] == 0
+        assert delta["infer.ctrl_cache_miss"] == 0
         assert delta["infer.t_cache_miss"] == 0
+        assert delta["infer.t_cache_hit"] > 0
 
-    def test_t_hidden_cached_per_timestep_and_rows(self, fitted):
+    def test_t_hidden_keyed_by_timestep(self, fitted):
         engine = compile_denoiser(fitted.denoiser)
-        first = engine.t_hidden(5, 4)
+        small = engine.t_hidden(5, 4)
         miss0 = perf.counter("infer.t_cache_miss")
-        again = engine.t_hidden(5, 4)
-        assert again is first
-        assert perf.counter("infer.t_cache_miss") == miss0
-        other = engine.t_hidden(5, 7)
-        assert other is not first
-        assert other.shape == (7, fitted.denoiser.hidden)
+        grown = engine.t_hidden(5, 7)  # regrows the timestep's block
+        assert perf.counter("infer.t_cache_miss") - miss0 == 1
+        assert grown.shape == (7, fitted.denoiser.hidden)
+        assert np.array_equal(grown[:4], small)
+        view = engine.t_hidden(5, 3)  # a leading-row view, no rebuild
+        assert perf.counter("infer.t_cache_miss") - miss0 == 1
+        assert view.base is grown.base
+        single = engine.t_hidden(5, 1)  # 1 row: its own entry
+        assert perf.counter("infer.t_cache_miss") - miss0 == 2
+        assert single.base is not grown.base
+        engine.t_hidden(6, 2)
+        assert sorted(engine._t_blocks.blocks) == [(5, 0), (5, 1), (6, 0)]
+
+    def test_conditioning_keyed_by_prompt_and_mask(self, fitted):
+        fitted._invalidate_cast_cache()
+        engine = fitted._infer_engine(None)
+        before = perf.counter("prompt_encoder.forward")
+        for n in (3, 5, 2):
+            fitted.sample_latents("netflix", n, steps=2,
+                                  rng=np.random.default_rng(n))
+        # cond + null encoded once: built at 3 rows, regrown at 5
+        assert perf.counter("prompt_encoder.forward") - before == 4
+        prompt = fitted.codebook.prompt_for("netflix")
+        assert list(engine._cond_blocks.blocks) == [
+            ((prompt, NULL_PROMPT), 0)]
+        key = fitted.class_masks["netflix"].tobytes()
+        assert list(engine._ctrl_blocks.blocks) == [(key, 0)]
 
     def test_time_embedding_row_matches_batch_and_is_cached(self):
         row = time_embedding_row(17, 32, np.float64)
@@ -242,128 +431,81 @@ class TestConditioningCache:
         assert row32.dtype == np.float32
         assert row32 is not row
 
-    def test_eager_constant_t_uses_row_cache(self, fitted):
-        before = perf.counter("denoiser.time_emb_rows")
-        t = np.full(6, 9, dtype=np.int64)
-        z = Tensor(np.zeros((6, fitted.denoiser.latent_dim)))
-        cond = Tensor(np.zeros((6, fitted.denoiser.cond_proj.in_features)))
-        fitted.denoiser(z, t, cond, None)
-        fitted.denoiser(z, t, cond, None)
-        # Both forwards resolve the same cached row: at most one compute.
-        assert perf.counter("denoiser.time_emb_rows") - before <= 1
-
-
-class TestEagerLinearWorkspace:
-    @staticmethod
-    def _frozen_linear(rows_in=8, rows_out=8):
-        """An inference-form Linear (frozen params, like cast_module)."""
-        layer = Linear(rows_in, rows_out, rng=np.random.default_rng(0))
-        layer.weight.requires_grad = False
-        layer.bias.requires_grad = False
-        return layer
-
-    def test_workspace_reused_when_result_dropped(self):
-        layer = self._frozen_linear()
-        x = Tensor(np.random.default_rng(1).normal(size=(4, 8)))
-        first = layer(x)
-        expected = first.data.copy()
-        assert layer._infer_ws is not None
-        ws_id = id(layer._infer_ws)  # id only: a live ref would defeat
-        del first                    # the refcount guard under test
-        hit0 = perf.counter("nn.linear.ws_hit")
-        second = layer(x)
-        assert perf.counter("nn.linear.ws_hit") - hit0 == 1
-        assert id(second.data) == ws_id
-        assert np.array_equal(second.data, expected)
-
-    def test_workspace_not_reused_while_held(self):
-        layer = self._frozen_linear()
-        x = Tensor(np.random.default_rng(1).normal(size=(4, 8)))
-        first = layer(x)
-        second = layer(x)
-        assert second.data is not first.data
-        assert np.array_equal(first.data, second.data)
-
-    def test_shape_change_allocates_fresh(self):
-        layer = self._frozen_linear()
-        out4 = layer(Tensor(np.zeros((4, 8))))
-        del out4
-        out6 = layer(Tensor(np.zeros((6, 8))))
-        assert out6.data.shape == (6, 8)
-
 
 class TestFallback:
-    def test_lora_tree_raises_compile_error(self, fitted):
+    def test_lora_tree_compiles(self, fitted):
         denoiser = copy.deepcopy(fitted.denoiser)
         inject_lora(denoiser, rng=np.random.default_rng(0))
-        with pytest.raises(CompileError):
-            compile_denoiser(denoiser)
+        engine = compile_denoiser(denoiser)
+        assert engine.input_proj.lora_a is not None
+        assert engine._exact_rows
 
     def test_merged_lora_tree_compiles(self, fitted):
         denoiser = copy.deepcopy(fitted.denoiser)
         inject_lora(denoiser, rng=np.random.default_rng(0))
         merge_lora(denoiser)
-        assert isinstance(compile_denoiser(denoiser), CompiledDenoiser)
+        engine = compile_denoiser(denoiser)
+        assert isinstance(engine, CompiledDenoiser)
+        assert engine.input_proj.lora_a is None
 
-    def test_pipeline_falls_back_to_eager(self, fitted):
-        ref = _latents(fitted, "eager", n=4, steps=5)
+    def test_add_class_compiles_and_matches_tape(self, fitted):
         lora_pipe = copy.deepcopy(fitted)
         lora_pipe._invalidate_cast_cache()
-        inject_lora(lora_pipe.denoiser, rng=np.random.default_rng(0))
-        # Fresh adapters are identity (B starts at zero), so eager
-        # output is unchanged -- and compiled mode must match it via
-        # the fallback, not crash.
-        fb0 = perf.counter("infer.fallback_eager")
-        got = _latents(lora_pipe, "compiled", n=4, steps=5)
-        assert perf.counter("infer.fallback_eager") - fb0 == 1
-        assert lora_pipe._infer_engines[np.dtype(np.float64).str] is None
-        assert np.array_equal(ref, got)
+        lora_pipe.add_class(
+            "zoom", generate_app_flows("zoom", 6, seed=5), rank=2, steps=10)
+        for merged in (False, True):
+            if merged:
+                assert merge_lora(lora_pipe.denoiser) > 0
+                lora_pipe._invalidate_cast_cache()
+            compiles0 = perf.counter("infer.compile")
+            got = lora_pipe.generate_raw(
+                "zoom", 5, steps=6, rng=np.random.default_rng(4))
+            assert perf.counter("infer.compile") - compiles0 == 1
+            engine = lora_pipe._infer_engines[np.dtype(np.float64).str]
+            assert isinstance(engine, CompiledDenoiser)
+            assert engine._exact_rows is not merged
+            rng = np.random.default_rng(4)
+            latents = _tape_latents(lora_pipe, "zoom", 5, 6, rng)
+            ref = lora_pipe._finalize_latents(latents, "zoom", rng=rng)
+            assert np.array_equal(got.matrices, ref.matrices)
+            assert np.array_equal(got.continuous, ref.continuous)
+            for dtype in (None, np.float32):
+                for n in (1, 3, 4):
+                    assert np.array_equal(
+                        lora_pipe.sample_latents(
+                            "zoom", n, steps=4, dtype=dtype,
+                            rng=np.random.default_rng(n)),
+                        _tape_latents(lora_pipe, "zoom", n, 4,
+                                      np.random.default_rng(n), dtype=dtype),
+                    )
 
     def test_non_constant_timestep_rejected(self, fitted):
-        engine = compile_denoiser(fitted.denoiser)
-        cond = np.zeros((3, fitted.denoiser.cond_proj.in_features))
-        eps = engine.eps_model(cond, None, 0.0)
+        engine = compile_denoiser(
+            fitted.denoiser, prompt_encoder=fitted.prompt_encoder)
+        eps = engine.eps_model("x", None, 0.0)
         x = np.zeros((3, fitted.denoiser.latent_dim))
         with pytest.raises(CompileError):
             eps(x, np.asarray([1, 2, 3], dtype=np.int64))
 
-    def test_wrong_row_count_rejected(self, fitted):
-        engine = compile_denoiser(fitted.denoiser)
-        cond = np.zeros((4, fitted.denoiser.cond_proj.in_features))
-        eps = engine.eps_model(cond, cond.copy(), 2.0)
-        with pytest.raises(ValueError):
-            eps(np.zeros((3, fitted.denoiser.latent_dim)),
-                np.full(3, 1, dtype=np.int64))
+    def test_closure_serves_any_row_count(self, fitted):
+        """One closure serves every batch size, each bitwise-equal to
+        the module forward at that size."""
+        prompt = fitted.codebook.prompt_for("netflix")
+        mask = fitted.class_masks["netflix"]
+        engine = fitted._infer_engine(None)
+        eps = engine.eps_model(prompt, NULL_PROMPT, 2.0, mask=mask)
+        rng = np.random.default_rng(8)
+        for m in (4, 1, 7, 2):
+            x = rng.normal(size=(m, fitted.denoiser.latent_dim))
+            t = np.full(m, 9, dtype=np.int64)
+            ref = _tape_eps(fitted, prompt, m, mask, 2.0)(x, t)
+            assert np.array_equal(eps(x, t), ref)
 
 
 class TestModeSelection:
-    def test_env_var_selects_mode(self, monkeypatch):
-        monkeypatch.setenv("REPRO_INFER", "compiled")
-        set_infer_mode(None)
-        assert infer_mode() == "compiled"
-        monkeypatch.setenv("REPRO_INFER", "eager")
-        set_infer_mode(None)
-        assert infer_mode() == "eager"
-
-    def test_unknown_mode_rejected(self, monkeypatch):
-        monkeypatch.setenv("REPRO_INFER", "warp")
-        set_infer_mode(None)
-        with pytest.raises(ValueError):
-            infer_mode()
-        set_infer_mode(None)
-        monkeypatch.delenv("REPRO_INFER")
-        assert infer_mode() == "eager"
-
-    def test_use_infer_mode_restores(self):
-        base = infer_mode()
-        with use_infer_mode("compiled"):
-            assert infer_mode() == "compiled"
-        assert infer_mode() == base
-
     def test_engine_cache_invalidated_with_cast_cache(self, fitted):
-        with use_infer_mode("compiled"):
-            fitted.sample_latents(
-                "netflix", 3, steps=2, rng=np.random.default_rng(0))
+        fitted.sample_latents(
+            "netflix", 3, steps=2, rng=np.random.default_rng(0))
         assert fitted._infer_engines
         fitted._invalidate_cast_cache()
         assert not fitted._infer_engines

@@ -1,5 +1,7 @@
 """Unit tests for the perf instrumentation layer (repro.perf)."""
 
+import sys
+import threading
 import time
 
 import pytest
@@ -114,3 +116,80 @@ class TestDefaultRegistry:
 
     def test_get_registry_is_singleton(self):
         assert perf.get_registry() is perf.get_registry()
+
+
+class TestThreadSafety:
+    THREADS = 8
+    INCREMENTS = 2000
+
+    @pytest.fixture(autouse=True)
+    def _frequent_switches(self):
+        # Switch threads every microsecond so unlocked read-modify-writes
+        # actually interleave.
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        yield
+        sys.setswitchinterval(previous)
+
+    def _hammer(self, registry, barrier, i):
+        barrier.wait()
+        for k in range(self.INCREMENTS):
+            registry.incr("shared")
+            registry.incr(f"own.{i}.{k}")  # new keys while others iterate
+            registry.observe("latency", k * 1e-4)
+            with registry.timer("stage"):
+                pass
+            with registry.timer(f"stage.{i}.{k}"):
+                pass
+            if k % 100 == 0:
+                registry.merge_snapshot({"counters": {"merged": 1}})
+
+    def test_concurrent_updates_give_exact_totals(self):
+        registry = PerfRegistry()
+        barrier = threading.Barrier(self.THREADS)
+        threads = [
+            threading.Thread(target=self._hammer, args=(registry, barrier, i))
+            for i in range(self.THREADS)
+        ]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+        assert not any(t.is_alive() for t in threads)
+        total = self.THREADS * self.INCREMENTS
+        assert registry.count("shared") == total
+        assert registry.count("merged") == self.THREADS * (
+            self.INCREMENTS // 100)
+        assert registry.histogram("latency").count == total
+        assert registry.snapshot()["timers"]["stage"]["calls"] == total
+
+    def test_scrapes_during_updates_never_raise(self):
+        from repro.serve.metrics import render_prometheus
+
+        registry = PerfRegistry()
+        barrier = threading.Barrier(self.THREADS + 1)
+        errors = []
+        writers = [
+            threading.Thread(target=self._hammer, args=(registry, barrier, i))
+            for i in range(self.THREADS)
+        ]
+
+        def scrape():
+            barrier.wait()
+            try:
+                while any(t.is_alive() for t in writers):
+                    render_prometheus(registry=registry)
+                    registry.snapshot()
+            except Exception as exc:  # noqa: BLE001 - collected
+                errors.append(exc)
+
+        scraper = threading.Thread(target=scrape)
+        for t in writers + [scraper]:
+            t.start()
+        for t in writers + [scraper]:
+            t.join(timeout=60)
+        assert not any(t.is_alive() for t in writers + [scraper])
+        assert errors == []
+        text = render_prometheus(registry=registry)
+        assert (f'repro_perf_counter_total{{name="shared"}} '
+                f"{self.THREADS * self.INCREMENTS}") in text

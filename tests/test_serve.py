@@ -20,6 +20,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro import perf
 from repro.core.pipeline import PipelineConfig, TextToTrafficPipeline
@@ -32,6 +34,7 @@ from repro.serve import (
     ModelNotFound,
     ModelStore,
     RequestExpired,
+    RequestTooLarge,
     ServiceClosed,
     ServiceOverloaded,
     request_rng,
@@ -149,6 +152,67 @@ class TestServiceRoundtrip:
             assert len(good.result(timeout=30).flows) == 1
         finally:
             service.shutdown()
+
+
+class TestRequestBounds:
+    def test_count_above_generation_batch_rejected(self, fitted):
+        """A count above one batch would be split by ``generate_raw``
+        (16 + 1 here) but sampled whole by the service: refused."""
+        service = _service(fitted, autostart=False)
+        limit = fitted.config.generation_batch
+        try:
+            with pytest.raises(RequestTooLarge):
+                service.submit(GenerateRequest(
+                    request_id=0, class_name="netflix", count=limit + 1))
+            service.submit(GenerateRequest(
+                request_id=1, class_name="netflix", count=limit))
+        finally:
+            service.shutdown(drain=False)
+
+    def test_coalesced_part_above_generation_batch_rejected(self, fitted):
+        limit = fitted.config.generation_batch
+        with pytest.raises(ValueError, match="part count"):
+            fitted.generate_coalesced(
+                "netflix", [(1, request_rng(7, 0)),
+                            (limit + 1, request_rng(7, 1))])
+
+    def test_count_above_max_batch_flows_rejected(self, fitted):
+        service = _service(fitted, autostart=False, max_batch_flows=4)
+        try:
+            with pytest.raises(RequestTooLarge):
+                service.submit(GenerateRequest(
+                    request_id=0, class_name="netflix", count=5))
+        finally:
+            service.shutdown(drain=False)
+
+    @pytest.mark.parametrize("steps", [0, -3, 81])
+    def test_steps_outside_schedule_rejected(self, fitted, steps):
+        service = _service(fitted, autostart=False)
+        try:
+            with pytest.raises(ValueError, match="steps"):
+                service.submit(GenerateRequest(
+                    request_id=0, class_name="netflix", count=1,
+                    steps=steps))
+            assert service.pending() == 0
+        finally:
+            service.shutdown(drain=False)
+
+    def test_full_schedule_steps_served(self, fitted):
+        service = _service(fitted)
+        try:
+            result = service.generate(GenerateRequest(
+                request_id=3, class_name="netflix", count=1,
+                steps=fitted.config.timesteps))
+        finally:
+            service.shutdown()
+        assert len(result.flows) == 1
+
+    def test_negative_request_id_and_nan_weight_rejected(self):
+        with pytest.raises(ValueError, match="request_id"):
+            GenerateRequest(request_id=-1, class_name="netflix", count=1)
+        with pytest.raises(ValueError, match="guidance_weight"):
+            GenerateRequest(request_id=0, class_name="netflix", count=1,
+                            guidance_weight=float("nan"))
 
 
 class TestCoalescing:
@@ -419,12 +483,90 @@ class TestHTTP:
         srv.stop()
         service.shutdown(drain=False)
 
+    def test_count_above_batch_is_413(self, fitted, server):
+        _, url = server
+        count = fitted.config.generation_batch + 1
+        with pytest.raises(urllib.error.HTTPError) as err:
+            _post(url, {"class": "netflix", "count": count,
+                        "request_id": 0})
+        assert err.value.code == 413
+
+    def test_steps_out_of_range_is_400(self, fitted, server):
+        _, url = server
+        for steps in (0, fitted.config.timesteps + 1):
+            with pytest.raises(urllib.error.HTTPError) as err:
+                _post(url, {"class": "netflix", "count": 1,
+                            "request_id": 0, "steps": steps})
+            assert err.value.code == 400
+
+    def test_oversized_body_is_413(self, server):
+        from repro.serve.http import MAX_BODY_BYTES
+
+        _, url = server
+        body = json.dumps({"class": "netflix", "count": 1,
+                           "pad": "x" * MAX_BODY_BYTES}).encode()
+        req = urllib.request.Request(
+            f"{url}/generate", data=body,
+            headers={"Content-Type": "application/json"},
+        )
+        with pytest.raises(urllib.error.HTTPError) as err:
+            urllib.request.urlopen(req, timeout=30)
+        assert err.value.code == 413
+
     def test_draining_service_is_503(self, server):
         service, url = server
         service.begin_drain()
         with pytest.raises(urllib.error.HTTPError) as err:
             _post(url, {"class": "netflix", "count": 1, "request_id": 0})
         assert err.value.code == 503
+
+
+#: any JSON value, for fields a client may get wrong
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.text(max_size=8)
+    | st.floats(allow_nan=True, allow_infinity=True),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=6,
+)
+
+#: /generate bodies: mostly plausible fields, each sometimes malformed
+_bodies = st.fixed_dictionaries({}, optional={
+    "class": st.sampled_from(["netflix", "teams", "nope"]) | _json_values,
+    "count": st.integers(-2, 40) | _json_values,
+    "request_id": st.integers(-5, 2**70) | _json_values,
+    "steps": st.none() | st.integers(-1, 90) | _json_values,
+    "guidance_weight": st.none() | st.floats(-5, 5) | _json_values,
+    "timeout": st.none() | st.floats(-1, 30) | _json_values,
+    "model": st.none() | _json_values,
+}) | _json_values
+
+
+class TestHTTPFuzz:
+    """Whatever a client posts, the server answers with a mapped status
+    and keeps serving well-formed requests."""
+
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture,
+                                     HealthCheck.too_slow])
+    @given(body=_bodies)
+    def test_generate_bodies_never_break_the_service(self, server, body):
+        _, url = server
+        req = urllib.request.Request(
+            f"{url}/generate", data=json.dumps(body).encode(),
+            headers={"Content-Type": "application/json"},
+        )
+        try:
+            with urllib.request.urlopen(req, timeout=60) as resp:
+                resp.read()
+                status = resp.status
+        except urllib.error.HTTPError as err:
+            status = err.code
+        assert status in (200, 400, 404, 413, 504)
+        with _post(url, {"class": "netflix", "count": 1,
+                         "request_id": 1}) as resp:
+            assert resp.status == 200
+            resp.read()
 
 
 class TestModelStore:

@@ -17,7 +17,7 @@ engine (``tests/test_infer.py``) but is stricter — training parity is
   (``infer.ws_miss`` / ``infer.ws_bytes`` pinned flat).
 * **Graceful fallback** — LoRA-adapted trees, warm or non-Adam
   optimizers raise :class:`CompileError`; the pipeline falls back to
-  the eager tape (``train.fallback_eager``) and still matches it.
+  the eager tape (``train.eager_fallback``) and still matches it.
 """
 
 import numpy as np
@@ -66,13 +66,13 @@ def eager():
 
 @pytest.fixture(scope="module")
 def compiled():
-    fb0 = perf.counter("train.fallback_eager")
+    fb0 = perf.counter("train.eager_fallback")
     steps0 = perf.counter("train.compiled_step")
     with use_train_mode("compiled"):
         pipeline = TextToTrafficPipeline(_config()).fit(_flows())
     return {
         "pipeline": pipeline,
-        "fallbacks": perf.counter("train.fallback_eager") - fb0,
+        "fallbacks": perf.counter("train.eager_fallback") - fb0,
         "compiled_steps": perf.counter("train.compiled_step") - steps0,
     }
 
@@ -120,10 +120,10 @@ class TestBitwiseParity:
         cfg = dict(train_steps=16, controlnet_steps=8, use_ema=True)
         with use_train_mode("eager"):
             ref = TextToTrafficPipeline(_config(**cfg)).fit(_flows())
-        fb0 = perf.counter("train.fallback_eager")
+        fb0 = perf.counter("train.eager_fallback")
         with use_train_mode("compiled"):
             fast = TextToTrafficPipeline(_config(**cfg)).fit(_flows())
-        assert perf.counter("train.fallback_eager") - fb0 == 0
+        assert perf.counter("train.eager_fallback") - fb0 == 0
         assert fast.training_history == ref.training_history
         for name, arr in fast.denoiser.state_dict().items():
             assert np.array_equal(arr, ref.denoiser.state_dict()[name]), name
@@ -219,9 +219,9 @@ class TestLoRAFallback:
         with use_train_mode("compiled"):
             fast = TextToTrafficPipeline(
                 _config(train_steps=16, controlnet_steps=8)).fit(_flows())
-            fb0 = perf.counter("train.fallback_eager")
+            fb0 = perf.counter("train.eager_fallback")
             fast_hist = fast.add_class("zoom", new_flows, rank=2, steps=10)
-            assert perf.counter("train.fallback_eager") - fb0 == 1
+            assert perf.counter("train.eager_fallback") - fb0 == 1
         with use_train_mode("eager"):
             ref = TextToTrafficPipeline(
                 _config(train_steps=16, controlnet_steps=8)).fit(_flows())
