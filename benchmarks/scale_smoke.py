@@ -9,16 +9,18 @@ human) can diff flows/s and peak memory against the recorded baseline:
   intermediate artefact for the full run, then packets are written one
   ``Packet`` at a time (flow-major order);
 * ``stream`` — the streaming tier: ``Pipeline.generate_stream`` yields
-  bounded chunks, flows are rendered through the per-flow header cache and
-  appended with ``PcapWriter.write_many``, float32 denoiser inference.
+  bounded chunks, each chunk's flows are rendered column-wise
+  (``render_flows``) and appended with ``PcapWriter.write_many``, float32
+  denoiser inference.
 
 ``--workers N [N ...]`` adds one ``stream_w{N}`` mode per count: the
 multi-core sharded tier (``generate_stream(workers=N, seed=...)``), which
 derives each chunk's RNG from ``(seed, chunk index)`` so the emitted pcap
 is byte-identical for every worker count.  The artifact records each
 mode's pcap sha256, whether all sharded pcaps matched
-(``workers_pcap_identical``), and the flows/s speedup of the widest
-worker count over one worker (``workers_speedup``).
+(``workers_pcap_identical``; the script exits 1 when they differ), and
+the flows/s speedup of the widest worker count over one worker
+(``workers_speedup``).
 
 Usage::
 
@@ -167,11 +169,15 @@ def _run_batch(pipeline, spec: dict, seed: int, out_path: str) -> dict:
 
 
 def _run_stream(pipeline, spec: dict, seed: int, out_path: str,
-                fp32: bool = True) -> dict:
-    """Streaming tier: chunked generate -> header-cached render -> write_many."""
+                workers: int | None = None, fp32: bool = True) -> dict:
+    """Streaming tier: chunked generate -> columnar render -> write_many.
+
+    ``workers`` selects the sharded tier (mode ``stream_w{N}``): worker
+    processes, per-chunk derived seeds, flows-only results.
+    """
     import numpy as np
 
-    from repro.net.packet import PacketRenderer
+    from repro.net.packet import PacketRenderer, render_flows
     from repro.net.pcap import PcapWriter
 
     if not hasattr(pipeline, "generate_stream"):
@@ -181,8 +187,11 @@ def _run_stream(pipeline, spec: dict, seed: int, out_path: str,
         )
     n = spec["n_flows"]
     chunk = spec["chunk"]
-    rng = np.random.default_rng(seed)
     dtype = np.float32 if fp32 else None
+    stream_kwargs = (
+        dict(rng=np.random.default_rng(seed)) if workers is None
+        else dict(workers=workers, seed=seed, yield_arrays=False)
+    )
     sampler = RssSampler()
     sampler.start()
     rss_start = _rss_bytes()
@@ -192,57 +201,7 @@ def _run_stream(pipeline, spec: dict, seed: int, out_path: str,
     renderer = PacketRenderer()
     with PcapWriter(open(out_path, "wb")) as writer:
         for result in pipeline.generate_stream(
-            "netflix", n, chunk=chunk, rng=rng, dtype=dtype
-        ):
-            datas = []
-            stamps = []
-            for flow in result.flows:
-                for pkt in flow.packets:
-                    datas.append(renderer.render(pkt))
-                    stamps.append(pkt.timestamp)
-            writer.write_many(datas, np.asarray(stamps))
-            packets += len(datas)
-            flows_done += len(result.flows)
-            if n >= 100_000 and flows_done % (chunk * 8) == 0:
-                print(f"  ... {flows_done}/{n} flows", flush=True)
-    elapsed = time.perf_counter() - start
-    peak = sampler.stop()
-    return {
-        "mode": "stream",
-        "fp32": fp32,
-        "chunk": chunk,
-        "n_flows": n,
-        "packets": packets,
-        "seconds": round(elapsed, 3),
-        "flows_per_second": round(n / elapsed, 3),
-        "rss_start_mb": round(rss_start / 1e6, 1),
-        "peak_rss_mb": round(peak / 1e6, 1),
-        "pcap_bytes": os.path.getsize(out_path),
-    }
-
-
-def _run_stream_sharded(pipeline, spec: dict, seed: int, out_path: str,
-                        workers: int, fp32: bool = True) -> dict:
-    """Sharded streaming tier: worker processes, per-chunk derived seeds."""
-    import numpy as np
-
-    from repro.net.packet import PacketRenderer, render_flows
-    from repro.net.pcap import PcapWriter
-
-    n = spec["n_flows"]
-    chunk = spec["chunk"]
-    dtype = np.float32 if fp32 else None
-    sampler = RssSampler()
-    sampler.start()
-    rss_start = _rss_bytes()
-    start = time.perf_counter()
-    packets = 0
-    flows_done = 0
-    renderer = PacketRenderer()
-    with PcapWriter(open(out_path, "wb")) as writer:
-        for result in pipeline.generate_stream(
-            "netflix", n, chunk=chunk, workers=workers, seed=seed,
-            dtype=dtype, yield_arrays=False,
+            "netflix", n, chunk=chunk, dtype=dtype, **stream_kwargs
         ):
             datas, stamps = render_flows(result.flows, renderer)
             packets += writer.write_many(datas, stamps)
@@ -251,9 +210,10 @@ def _run_stream_sharded(pipeline, spec: dict, seed: int, out_path: str,
                 print(f"  ... {flows_done}/{n} flows", flush=True)
     elapsed = time.perf_counter() - start
     peak = sampler.stop()
-    return {
-        "mode": f"stream_w{workers}",
-        "workers": workers,
+    section = {"mode": "stream"}
+    if workers is not None:
+        section = {"mode": f"stream_w{workers}", "workers": workers}
+    section.update({
         "fp32": fp32,
         "chunk": chunk,
         "n_flows": n,
@@ -263,8 +223,10 @@ def _run_stream_sharded(pipeline, spec: dict, seed: int, out_path: str,
         "rss_start_mb": round(rss_start / 1e6, 1),
         "peak_rss_mb": round(peak / 1e6, 1),
         "pcap_bytes": os.path.getsize(out_path),
-        "pcap_sha256": _sha256_file(out_path),
-    }
+    })
+    if workers is not None:
+        section["pcap_sha256"] = _sha256_file(out_path)
+    return section
 
 
 def _sha256_file(path: str) -> str:
@@ -327,13 +289,9 @@ def main(argv: list[str] | None = None) -> int:
                   f"({spec['n_flows']} flows) #####", flush=True)
             if mode == "batch":
                 section = _run_batch(pipeline, spec, args.seed, out_pcap)
-            elif workers is not None:
-                section = _run_stream_sharded(
-                    pipeline, spec, args.seed, out_pcap, workers,
-                    fp32=not args.fp64_stream)
             else:
                 section = _run_stream(pipeline, spec, args.seed, out_pcap,
-                                      fp32=not args.fp64_stream)
+                                      workers, fp32=not args.fp64_stream)
             current["modes"][mode] = section
             print(f"##### {mode}: {section['seconds']}s "
                   f"({section['flows_per_second']} flows/s, "
@@ -375,6 +333,10 @@ def main(argv: list[str] | None = None) -> int:
     print(f"\nwrote {path}")
     for mode, x in entry.get("speedup_vs_baseline_batch", {}).items():
         print(f"  {mode}: {x:.2f}x vs baseline batch")
+    if current.get("workers_pcap_identical") is False:
+        print("FAIL: sharded pcaps differ across worker counts",
+              file=sys.stderr)
+        return 1
     return 0
 
 

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.ddim import ddim_timesteps
-from repro.core.pipeline import TextToTrafficPipeline
+from repro.core.pipeline import NULL_PROMPT, TextToTrafficPipeline
 from repro.core.postprocess import gaps_to_channel, quantize_matrix
 from repro.nprint.fields import FIELDS, NPRINT_BITS
 
@@ -105,8 +105,10 @@ class TrafficDeblurrer:
         ts = ddim_timesteps(schedule.timesteps, steps)
         prompt = pipe.codebook.prompt_for(class_name)
         mask_template = pipe.class_masks.get(class_name)
-        eps_model = pipe._eps_model(prompt, 1, mask_template,
-                                    cfg.guidance_weight)
+        eps_model = pipe._infer_engine(None).eps_model(
+            prompt, NULL_PROMPT, cfg.guidance_weight, mask=mask_template,
+            rows=1,
+        )
 
         z = rng.standard_normal((1, pipe.codec.latent_dim))
         x0_vec = observed.copy()

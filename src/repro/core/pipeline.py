@@ -84,13 +84,13 @@ def _shard_chunk_rng(seed: int, index: int) -> np.random.Generator:
 class _SegmentedRNG:
     """Concatenates independent per-segment generator draws into one batch.
 
-    The serving tier coalesces several requests into a single sampler
-    batch, but each request must keep its *own* RNG stream so its rows
-    are bitwise what a solo run would produce.  This shim quacks like the
-    one generator :class:`~repro.core.ddim.DDIMSampler` expects: every
-    ``standard_normal`` draw over the batch axis is assembled from one
-    draw per segment, in segment order, so segment ``i`` consumes exactly
-    the stream it would consume alone.
+    A sampler batch may hold rows of several parts (served requests, or
+    one generation's slice), but each part must keep its *own* RNG stream
+    so its rows are bitwise what a solo run would produce.  This shim
+    quacks like the one generator :class:`~repro.core.ddim.DDIMSampler`
+    expects: every ``standard_normal`` draw over the batch axis is
+    assembled from one draw per segment, in segment order, so segment
+    ``i`` consumes exactly the stream it would consume alone.
     """
 
     def __init__(self, rngs, counts):
@@ -113,40 +113,48 @@ class _SegmentedRNG:
         )
 
 
-def _shard_worker_pipeline(archive: str) -> "TextToTrafficPipeline":
+def _shard_chunk_worker(
+    archive: str,
+    class_name: str,
+    count: int,
+    seed: int,
+    index: int,
+    **options,
+):
+    """Generate chunk ``index`` of a sharded run in a worker process.
+
+    Returns the chunk's result, through the pool's result pipe, with this
+    chunk's `repro.perf` snapshot, which the parent merges so end-to-end
+    counters match a single-process run.
+    """
     pipeline = _WORKER_PIPELINES.get(archive)
     if pipeline is None:
         from repro.core.serialization import load_pipeline
 
         pipeline = _WORKER_PIPELINES[archive] = load_pipeline(archive)
-    return pipeline
-
-
-def _shard_chunk_worker(
-    archive: str,
-    out_dir: str,
-    class_name: str,
-    count: int,
-    seed: int,
-    index: int,
-    opts: dict,
-):
-    """Generate one chunk in a worker process.
-
-    The chunk result is persisted as an on-disk stage artifact (pickle +
-    ``.npy`` sidecars) instead of being shipped back through the result
-    pipe; only the perf snapshot delta for this chunk returns, which the
-    parent merges so end-to-end counters match a single-process run.
-    """
-    pipeline = _shard_worker_pipeline(archive)
-    from repro.experiments.artifacts import save_stage_result
-
     perf.reset()
-    result = pipeline._generate_chunk(
-        class_name, count, _shard_chunk_rng(seed, index), opts
+    (result,) = pipeline._generate(
+        class_name, [(count, _shard_chunk_rng(seed, index))], **options
     )
-    save_stage_result(result, out_dir)
-    return perf.snapshot()
+    return result, perf.snapshot()
+
+
+def _structure_stats(matrices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-flow structure masks and packet counts of nprint matrices."""
+    masks = np.stack([structure_mask(m) for m in matrices])
+    heights = (~np.all(matrices == -1, axis=2)).sum(axis=1)
+    return masks, heights.astype(np.float64)
+
+
+def _module_tree(*roots) -> list:
+    """Every module under ``roots`` (``None`` skipped), depth-first."""
+    tree = []
+    stack = [root for root in reversed(roots) if root is not None]
+    while stack:
+        module = stack.pop()
+        tree.append(module)
+        stack.extend(reversed(module._modules.values()))
+    return tree
 
 
 @dataclass
@@ -229,6 +237,8 @@ class TextToTrafficPipeline:
         self._cast_cache: dict[str, tuple] = {}
         # dtype str -> CompiledDenoiser; see _infer_engine.
         self._infer_engines: dict[str, object] = {}
+        # the module tree both caches were built from; see _inference_caches
+        self._cache_tree: list | None = None
 
     # -- representation -------------------------------------------------------
     def _flow_vector(self, flow: Flow) -> tuple[np.ndarray, np.ndarray]:
@@ -288,7 +298,6 @@ class TextToTrafficPipeline:
                 self.vocab.add(token)
 
         cfg = self.config
-        memmap_masks = None
         if memmap_dir is None:
             with perf.timer("pipeline.fit.encode"):
                 matrices = encode_flows(flows, cfg.max_packets)
@@ -296,19 +305,16 @@ class TextToTrafficPipeline:
                     interarrival_channels(flows, cfg.max_packets)
                 )
                 vectors = self._vectorize(matrices, gap_channels)
-            with perf.timer("pipeline.fit.codec"):
-                self.codec.fit(vectors)
-                latents = self.codec.encode(vectors)
-            self._store_class_templates(matrices, labels)
+            masks, heights = _structure_stats(matrices)
         else:
             with perf.timer("pipeline.fit.encode"):
-                vectors, memmap_masks, heights = (
+                vectors, masks, heights = (
                     self._encode_training_memmap(flows, memmap_dir)
                 )
-            with perf.timer("pipeline.fit.codec"):
-                self.codec.fit(vectors)
-                latents = self.codec.encode(vectors)
-            self._store_class_templates_lowmem(memmap_masks, heights, labels)
+        with perf.timer("pipeline.fit.codec"):
+            self.codec.fit(vectors)
+            latents = self.codec.encode(vectors)
+        self._store_class_templates(masks, heights, labels)
 
         self.prompt_encoder = PromptEncoder(self.vocab, cfg.cond_dim,
                                             rng=self._rng)
@@ -326,11 +332,6 @@ class TextToTrafficPipeline:
 
         self.controlnet = ControlNetBranch(cfg.hidden, cfg.blocks,
                                            rng=self._rng)
-        masks = (
-            memmap_masks
-            if memmap_masks is not None
-            else np.stack([structure_mask(m) for m in matrices])
-        )
         with perf.timer("pipeline.fit.train_controlnet"):
             self.controlnet_history = self._train_controlnet(
                 latents, prompts, masks, verbose
@@ -372,23 +373,17 @@ class TextToTrafficPipeline:
             m = encode_flows(batch, p)
             gaps = gaps_to_channel(interarrival_channels(batch, p))
             vectors[start:stop] = self._vectorize(m, gaps)
-            masks[start:stop] = np.stack([structure_mask(x) for x in m])
-            heights[start:stop] = [
-                float((~np.all(x == -1, axis=1)).sum()) for x in m
-            ]
+            masks[start:stop], heights[start:stop] = _structure_stats(m)
         vectors.flush()
         masks.flush()
         return vectors, masks, heights
 
-    def _store_class_templates_lowmem(
+    def _store_class_templates(
         self, masks: np.ndarray, heights: np.ndarray, labels: list[str]
     ) -> None:
-        """Class templates from precomputed per-flow masks/heights.
-
-        Same reductions over the same rows as
-        :meth:`_store_class_templates`, so the resulting templates are
-        bitwise-identical to the in-RAM fit path.
-        """
+        """Per-class mean structure mask + mean packet count, from the
+        per-flow masks and heights of :func:`_structure_stats` (in RAM or
+        memory-mapped)."""
         labels_arr = np.asarray(labels)
         for name in self.codebook.classes:
             sel = labels_arr == name
@@ -396,22 +391,6 @@ class TextToTrafficPipeline:
                 continue
             self.class_masks[name] = np.asarray(masks[sel]).mean(axis=0)
             self.class_heights[name] = float(np.mean(heights[sel]))
-
-    def _store_class_templates(
-        self, matrices: np.ndarray, labels: list[str]
-    ) -> None:
-        """Per-class mean structure mask + mean packet count."""
-        labels_arr = np.asarray(labels)
-        for name in self.codebook.classes:
-            rows = matrices[labels_arr == name]
-            if len(rows) == 0:
-                continue
-            masks = np.stack([structure_mask(m) for m in rows])
-            self.class_masks[name] = masks.mean(axis=0)
-            heights = [
-                float((~np.all(m == -1, axis=1)).sum()) for m in rows
-            ]
-            self.class_heights[name] = float(np.mean(heights))
 
     def _train_base(
         self, latents: np.ndarray, prompts: list[str], verbose: bool
@@ -586,12 +565,25 @@ class TextToTrafficPipeline:
             raise RuntimeError("pipeline is not fitted")
 
     def _invalidate_cast_cache(self) -> None:
-        cache = getattr(self, "_cast_cache", None)
-        if cache:
-            cache.clear()
-        engines = getattr(self, "_infer_engines", None)
-        if engines:
-            engines.clear()
+        self._cast_cache.clear()
+        self._infer_engines.clear()
+        self._cache_tree = None
+
+    def _inference_caches(self) -> tuple[dict, dict]:
+        """The (cast clones, engines) caches, for the current module tree.
+
+        Both caches are emptied first when the live modules are no longer
+        the ones they were built from — e.g. after
+        :func:`~repro.core.lora.merge_lora` swapped the adapters for dense
+        layers — so sampling never runs a stale tree.
+        """
+        tree = _module_tree(self.prompt_encoder, self.denoiser,
+                            self.controlnet)
+        # Modules compare by identity.
+        if self._cache_tree is not None and self._cache_tree != tree:
+            self._invalidate_cast_cache()
+        self._cache_tree = tree
+        return self._cast_cache, self._infer_engines
 
     def _inference_modules(self, dtype):
         """(prompt_encoder, denoiser, controlnet) at inference precision.
@@ -600,13 +592,11 @@ class TextToTrafficPipeline:
         the unchanged default path.  Other dtypes return cached
         :func:`~repro.ml.nn.modules.cast_module` clones, built once per
         dtype and invalidated whenever the weights change (fit /
-        add_class).
+        add_class) or the module tree does (merge_lora).
         """
+        cache, _ = self._inference_caches()
         if dtype is None or np.dtype(dtype) == np.float64:
             return self.prompt_encoder, self.denoiser, self.controlnet
-        cache = getattr(self, "_cast_cache", None)
-        if cache is None:
-            cache = self._cast_cache = {}
         key = np.dtype(dtype).str
         clones = cache.get(key)
         if clones is None:
@@ -626,13 +616,10 @@ class TextToTrafficPipeline:
         """The cached :class:`~repro.core.infer.CompiledDenoiser`.
 
         Built once per dtype from the inference modules and invalidated
-        alongside the cast cache whenever the weights change (fit /
-        add_class).  A module tree the plan cannot express raises
-        :class:`~repro.core.infer.CompileError`.
+        alongside the cast cache.  A module tree the plan cannot express
+        raises :class:`~repro.core.infer.CompileError`.
         """
-        engines = getattr(self, "_infer_engines", None)
-        if engines is None:
-            engines = self._infer_engines = {}
+        _, engines = self._inference_caches()
         key = np.dtype(dtype or np.float64).str
         engine = engines.get(key)
         if engine is None:
@@ -649,124 +636,125 @@ class TextToTrafficPipeline:
                 )
         return engine
 
-    def _eps_model(
-        self,
-        prompt: str,
-        n: int,
-        mask: np.ndarray | None,
-        guidance_weight: float,
-        dtype=None,
-    ):
-        """Closure evaluating (classifier-free-guided) noise prediction.
-
-        Runs the compiled plan (:mod:`repro.core.infer`).  Prompts and
-        the control mask are loop-invariant across DDIM steps: their
-        projections live in the engine's conditioning caches, built here
-        for ``n`` rows and reused by every later batch, chunk and served
-        request.  With guidance on, the conditional and unconditional
-        passes are fused into a single ``2m``-row forward (the null half
-        receives zero control injections) — one denoiser call per step.
-        """
-        engine = self._infer_engine(dtype)
-        with perf.timer("pipeline.hoist_conditioning"):
-            return engine.eps_model(
-                prompt, NULL_PROMPT, guidance_weight, mask=mask, rows=n,
-            )
-
     def sample_latents(
         self,
         class_name: str,
-        n: int,
+        n: int | list[tuple[int, np.random.Generator]],
         steps: int | None = None,
         use_control: bool = True,
         guidance_weight: float | None = None,
         rng: np.random.Generator | None = None,
         dtype=None,
     ) -> np.ndarray:
-        """Sample ``n`` latent vectors for ``class_name`` via DDIM.
+        """Sample latent vectors for ``class_name`` via DDIM.
+
+        ``n`` is a flow count drawn from ``rng``, or a list of
+        ``(count, rng)`` parts.  Sampler batch ``j`` holds the ``j``-th
+        ``generation_batch`` slice of every part, and each part draws from
+        its own generator (:class:`_SegmentedRNG`), so its rows are
+        bitwise what sampling it alone would give.  Rows return in part
+        order.
+
+        Each batch runs the compiled plan (:mod:`repro.core.infer`) with
+        classifier-free guidance fused into one ``2m``-row forward per
+        step; the prompt and control projections come from the engine's
+        conditioning caches, shared by every batch, chunk and request.
 
         ``dtype=np.float32`` runs the whole denoiser stack in single
         precision (the fast inference tier); ``None`` keeps the float64
         default bit-for-bit.  The RNG stream is dtype-independent.
         """
         self._require_fitted()
-        if n < 1:
+        parts = (
+            [(n, rng or self._rng)] if isinstance(n, (int, np.integer))
+            else list(n)
+        )
+        counts = [int(count) for count, _ in parts]
+        if not counts or min(counts) < 1:
             raise ValueError("n must be >= 1")
         cfg = self.config
-        rng = rng or self._rng
         steps = steps or cfg.ddim_steps
         weight = cfg.guidance_weight if guidance_weight is None else guidance_weight
         prompt = self.codebook.prompt_for(class_name)
         mask = self.class_masks.get(class_name) if use_control else None
         sampler = DDIMSampler(self.diffusion)
-        out = []
-        remaining = n
+        size = cfg.generation_batch
+        out: list[list[np.ndarray]] = [[] for _ in parts]
         with perf.timer("pipeline.sample_latents"):
-            while remaining > 0:
-                batch = min(remaining, cfg.generation_batch)
+            engine = self._infer_engine(dtype)
+            for start in range(0, max(counts), size):
+                live = [i for i, count in enumerate(counts) if count > start]
+                rows = [min(size, counts[i] - start) for i in live]
+                total = sum(rows)
                 perf.incr("pipeline.sample_batches")
-                eps = self._eps_model(prompt, batch, mask, weight,
-                                      dtype=dtype)
-                z = sampler.sample(eps, (batch, self.codec.latent_dim), rng,
-                                   steps=steps, dtype=dtype)
-                out.append(z)
-                remaining -= batch
-        perf.incr("pipeline.sampled_flows", n)
-        return np.concatenate(out, axis=0)
+                with perf.timer("pipeline.hoist_conditioning"):
+                    eps = engine.eps_model(
+                        prompt, NULL_PROMPT, weight, mask=mask, rows=total,
+                    )
+                z = sampler.sample(
+                    eps, (total, self.codec.latent_dim),
+                    _SegmentedRNG([parts[i][1] for i in live], rows),
+                    steps=steps, dtype=dtype,
+                )
+                offsets = np.cumsum([0] + rows)
+                for i, lo, hi in zip(live, offsets[:-1], offsets[1:]):
+                    out[i].append(z[lo:hi])
+        perf.incr("pipeline.sampled_flows", sum(counts))
+        return np.concatenate([z for part in out for z in part])
 
-    def generate_raw(
+    def _generate(
         self,
         class_name: str,
-        n: int,
+        parts: list[tuple[int, np.random.Generator]],
         steps: int | None = None,
         use_control: bool = True,
         hard_guidance: bool = True,
         guidance_weight: float | None = None,
         state_repair: bool = False,
-        rng: np.random.Generator | None = None,
         dtype=None,
-    ) -> GenerationResult:
-        """Generate flows and return every intermediate artefact.
+        arrays: bool = True,
+    ) -> list[GenerationResult]:
+        """The generation core behind every public entry point.
 
-        ``state_repair`` additionally rebuilds cross-packet protocol state
-        (handshake, sequence numbers) so the flows replay cleanly through
-        stateful network functions — the §4 open-challenge extension; see
-        :mod:`repro.core.staterepair`.
+        Samples ``parts`` (``(count, rng)`` pairs) in shared sampler
+        batches (:meth:`sample_latents`), codec-decodes each part on its
+        own — a GEMM's rounding depends on its row count, and each part
+        must match a solo run — and emits them all at once: guidance,
+        repair and decoding are row-exact.  State repair then runs per
+        part with that part's rng, after its sampling draws, and assigns
+        distinct client ports so one part's flows never collide on a
+        5-tuple at replay.  ``arrays=False`` keeps only the flows.
         """
         self._require_fitted()
         if class_name not in self.class_masks:
             raise KeyError(f"unknown class {class_name!r}")
         latents = self.sample_latents(
-            class_name, n, steps=steps, use_control=use_control,
-            guidance_weight=guidance_weight, rng=rng, dtype=dtype,
+            class_name, parts, steps=steps, use_control=use_control,
+            guidance_weight=guidance_weight, dtype=dtype,
         )
-        return self._finalize_latents(
-            latents, class_name, hard_guidance=hard_guidance,
-            state_repair=state_repair, rng=rng,
-        )
-
-    def _finalize_latents(
-        self,
-        latents: np.ndarray,
-        class_name: str,
-        hard_guidance: bool = True,
-        state_repair: bool = False,
-        rng: np.random.Generator | None = None,
-    ) -> GenerationResult:
-        """Latents -> decoded, structure-guided, labelled flows.
-
-        The second half of :meth:`generate_raw`, shared verbatim with the
-        streaming path so chunked generation is byte-identical to batch.
-        """
+        bounds = np.cumsum([0] + [int(count) for count, _ in parts])
+        results: list[GenerationResult] = []
         with perf.timer("pipeline.finalize_latents"):
-            vectors = self.codec.decode(latents)
-            result = self._emit(vectors, class_name, hard_guidance)
-            if state_repair:
-                # Batch repair assigns distinct client ports so flows from
-                # one generation call never collide on a 5-tuple at replay.
-                result.flows = repair_flows_state(result.flows,
-                                                  rng or self._rng)
-        return result
+            if len(parts) == 1:
+                vectors = self.codec.decode(latents)
+            else:
+                vectors = np.concatenate([
+                    self.codec.decode(latents[lo:hi])
+                    for lo, hi in zip(bounds[:-1], bounds[1:])
+                ])
+            whole = self._emit(vectors, class_name, hard_guidance)
+            for (_, rng), lo, hi in zip(parts, bounds[:-1], bounds[1:]):
+                flows = whole.flows[lo:hi]
+                if state_repair:
+                    flows = repair_flows_state(flows, rng)
+                results.append(GenerationResult(
+                    flows=flows,
+                    matrices=whole.matrices[lo:hi] if arrays else None,
+                    continuous=whole.continuous[lo:hi] if arrays else None,
+                    gaps=whole.gaps[lo:hi] if arrays else None,
+                    label=class_name,
+                ))
+        return results
 
     def _emit(
         self,
@@ -800,29 +788,31 @@ class TextToTrafficPipeline:
             label=class_name,
         )
 
-    def _generate_chunk(
+    def generate_raw(
         self,
         class_name: str,
-        count: int,
-        rng: np.random.Generator,
-        opts: dict,
+        n: int,
+        steps: int | None = None,
+        use_control: bool = True,
+        hard_guidance: bool = True,
+        guidance_weight: float | None = None,
+        state_repair: bool = False,
+        rng: np.random.Generator | None = None,
+        dtype=None,
     ) -> GenerationResult:
-        """One stream chunk: sample -> decode -> flows (shared with workers)."""
-        latents = self.sample_latents(
-            class_name, count, steps=opts["steps"],
-            use_control=opts["use_control"],
-            guidance_weight=opts["guidance_weight"], rng=rng,
-            dtype=opts["dtype"],
+        """Generate flows and return every intermediate artefact.
+
+        ``state_repair`` additionally rebuilds cross-packet protocol state
+        (handshake, sequence numbers) so the flows replay cleanly through
+        stateful network functions — the §4 open-challenge extension; see
+        :mod:`repro.core.staterepair`.
+        """
+        (result,) = self._generate(
+            class_name, [(n, rng or self._rng)], steps=steps,
+            use_control=use_control, hard_guidance=hard_guidance,
+            guidance_weight=guidance_weight, state_repair=state_repair,
+            dtype=dtype,
         )
-        result = self._finalize_latents(
-            latents, class_name, hard_guidance=opts["hard_guidance"],
-            state_repair=opts["state_repair"], rng=rng,
-        )
-        if not opts["yield_arrays"]:
-            result = GenerationResult(
-                flows=result.flows, matrices=None, continuous=None,
-                gaps=None, label=result.label,
-            )
         return result
 
     def generate_stream(
@@ -845,10 +835,10 @@ class TextToTrafficPipeline:
         """Generate ``n`` flows lazily, one :class:`GenerationResult` chunk
         at a time, with peak memory bounded by the chunk size.
 
-        Each chunk runs ``sample_latents -> decode -> flows`` for at most
-        ``chunk`` flows (default: 4x ``generation_batch``) and is yielded
-        before the next begins, so a million-flow run never materialises
-        more than one chunk of intermediates.
+        Each chunk is one generation of at most ``chunk`` flows (default:
+        4x ``generation_batch``) and is yielded before the next begins, so
+        a million-flow run never materialises more than one chunk of
+        intermediates.
 
         **Sequential mode** (``workers=None``, the default): one shared
         ``rng`` drives every chunk in order.  With ``state_repair=False``
@@ -871,15 +861,15 @@ class TextToTrafficPipeline:
         ``workers=2+`` (fanned out to worker processes).  Workers load
         their fitted-pipeline copies from a content-addressed archive
         (``shard_dir``, defaulting to ``REPRO_CACHE_DIR`` or a run-scoped
-        temp dir), persist chunk results as on-disk artifacts, and return
-        `repro.perf` snapshots that are merged into this process, so
-        counters match a single-process run.  Chunks are yielded strictly
-        in index order.  ``seed`` defaults to ``config.seed``; passing an
-        explicit ``rng`` is an error in sharded mode (a shared generator
-        cannot be split deterministically across processes).
-        ``yield_arrays=False`` drops the large array intermediates from
-        each result (flows only) — worth it in sharded mode, where the
-        arrays would otherwise be written to and read back from disk.
+        temp dir) and return each chunk's result with its `repro.perf`
+        snapshot through the pool's result pipe; the snapshots are merged
+        into this process, so counters match a single-process run.  Chunks
+        are yielded strictly in index order.  ``seed`` defaults to
+        ``config.seed``; passing an explicit ``rng`` is an error in sharded
+        mode (a shared generator cannot be split deterministically across
+        processes).  ``yield_arrays=False`` drops the large array
+        intermediates from each result (flows only) — worth it in sharded
+        mode, where the arrays would otherwise cross the process boundary.
         """
         self._require_fitted()
         if class_name not in self.class_masks:
@@ -890,16 +880,8 @@ class TextToTrafficPipeline:
             chunk = 4 * self.config.generation_batch
         if chunk < 1:
             raise ValueError("chunk must be >= 1")
-        opts = {
-            "steps": steps,
-            "use_control": use_control,
-            "hard_guidance": hard_guidance,
-            "guidance_weight": guidance_weight,
-            "state_repair": state_repair,
-            "dtype": dtype,
-            "yield_arrays": yield_arrays,
-        }
-        if workers is not None:
+        sharded = workers is not None
+        if sharded:
             if workers < 1:
                 raise ValueError("workers must be >= 1")
             if rng is not None:
@@ -907,37 +889,46 @@ class TextToTrafficPipeline:
                     "sharded generation derives per-chunk seeds; "
                     "pass seed=..., not rng=..."
                 )
-            yield from self._generate_stream_sharded(
-                class_name, n, chunk, workers,
-                self.config.seed if seed is None else seed,
-                shard_dir, opts,
-            )
-            return
+            seed = self.config.seed if seed is None else seed
         rng = rng or self._rng
-        remaining = n
-        while remaining > 0:
-            m = min(chunk, remaining)
-            latents = self.sample_latents(
-                class_name, m, steps=steps, use_control=use_control,
-                guidance_weight=guidance_weight, rng=rng, dtype=dtype,
+        options = dict(
+            steps=steps, use_control=use_control,
+            hard_guidance=hard_guidance, guidance_weight=guidance_weight,
+            state_repair=state_repair, dtype=dtype, arrays=yield_arrays,
+        )
+        counts = [min(chunk, n - start) for start in range(0, n, chunk)]
+        if sharded and workers > 1:
+            results = self._sharded_results(
+                class_name, counts, workers, seed, shard_dir, options
             )
+        else:
+            results = (
+                self._generate(
+                    class_name,
+                    [(count,
+                      _shard_chunk_rng(seed, index) if sharded else rng)],
+                    **options,
+                )[0]
+                for index, count in enumerate(counts)
+            )
+        for result in results:
             perf.incr("pipeline.stream_chunks")
-            result = self._finalize_latents(
-                latents, class_name, hard_guidance=hard_guidance,
-                state_repair=state_repair, rng=rng,
-            )
-            if not yield_arrays:
-                result = GenerationResult(
-                    flows=result.flows, matrices=None, continuous=None,
-                    gaps=None, label=result.label,
-                )
+            if sharded:
+                perf.incr("pipeline.shard_chunks")
             yield result
-            remaining -= m
 
-    def _ensure_shard_archive(
-        self, shard_dir: str | None
-    ) -> tuple[str, str | None]:
-        """(archive path, temp dir to clean up or None) for sharded mode."""
+    def _sharded_results(
+        self,
+        class_name: str,
+        counts: list[int],
+        workers: int,
+        seed: int,
+        shard_dir: str | None,
+        options: dict,
+    ):
+        """Chunk results from a pool of ``workers`` processes, in order."""
+        from concurrent.futures import ProcessPoolExecutor
+
         from repro.core.serialization import ensure_pipeline_archive
 
         created = None
@@ -945,78 +936,35 @@ class TextToTrafficPipeline:
             shard_dir = os.environ.get("REPRO_CACHE_DIR")
         if shard_dir is None:
             shard_dir = created = tempfile.mkdtemp(prefix="repro-shard-")
-        try:
-            archive = ensure_pipeline_archive(self, shard_dir)
-        except BaseException:
-            if created is not None:
-                shutil.rmtree(created, ignore_errors=True)
-            raise
-        return str(archive), created
-
-    def _generate_stream_sharded(
-        self,
-        class_name: str,
-        n: int,
-        chunk: int,
-        workers: int,
-        seed: int,
-        shard_dir: str | None,
-        opts: dict,
-    ):
-        counts = [min(chunk, n - start) for start in range(0, n, chunk)]
-        if workers == 1:
-            # In-process reference: same per-chunk RNG scheme, no pool.
-            for index, count in enumerate(counts):
-                result = self._generate_chunk(
-                    class_name, count, _shard_chunk_rng(seed, index), opts
-                )
-                perf.incr("pipeline.stream_chunks")
-                perf.incr("pipeline.shard_chunks")
-                yield result
-            return
-        from concurrent.futures import ProcessPoolExecutor
-
-        from repro.experiments.artifacts import load_stage_result
-
-        archive, tmp_shard_dir = self._ensure_shard_archive(shard_dir)
-        artifact_root = tempfile.mkdtemp(prefix="repro-shard-chunks-")
-        executor = ProcessPoolExecutor(max_workers=workers)
+        executor = None
         futures: dict[int, object] = {}
         # Bounded submission window: enough chunks in flight to keep every
         # worker busy, few enough that completed-but-unconsumed results
-        # never pile up on disk faster than the consumer drains them.
+        # never pile up faster than the consumer drains them.
         window = workers + 2
 
         def _submit(index: int) -> None:
             futures[index] = executor.submit(
-                _shard_chunk_worker, archive,
-                os.path.join(artifact_root, f"chunk-{index:06d}"),
-                class_name, counts[index], seed, index, opts,
+                _shard_chunk_worker, archive, class_name, counts[index],
+                seed, index, **options,
             )
 
         try:
+            archive = str(ensure_pipeline_archive(self, shard_dir))
+            executor = ProcessPoolExecutor(max_workers=workers)
             for index in range(min(window, len(counts))):
                 _submit(index)
             for index in range(len(counts)):
-                snapshot = futures.pop(index).result()
+                result, snapshot = futures.pop(index).result()
                 if index + window < len(counts):
                     _submit(index + window)
                 perf.merge_snapshot(snapshot)
-                perf.incr("pipeline.stream_chunks")
-                perf.incr("pipeline.shard_chunks")
-                chunk_dir = os.path.join(
-                    artifact_root, f"chunk-{index:06d}"
-                )
-                # Plain in-RAM load (not mmap) so the chunk dir can be
-                # reclaimed as soon as the result is yielded.
-                result = load_stage_result(chunk_dir, mmap_mode=None)
-                shutil.rmtree(chunk_dir, ignore_errors=True)
                 yield result
         finally:
-            executor.shutdown(wait=True, cancel_futures=True)
-            shutil.rmtree(artifact_root, ignore_errors=True)
-            if tmp_shard_dir is not None:
-                shutil.rmtree(tmp_shard_dir, ignore_errors=True)
+            if executor is not None:
+                executor.shutdown(wait=True, cancel_futures=True)
+            if created is not None:
+                shutil.rmtree(created, ignore_errors=True)
 
     def generate_coalesced(
         self,
@@ -1029,76 +977,33 @@ class TextToTrafficPipeline:
         state_repair: bool = False,
         dtype=None,
     ) -> list[GenerationResult]:
-        """Sample several requests' flows in ONE fused DDIM run.
+        """Generate several requests' flows in shared sampler batches.
 
         ``parts`` is one ``(count, rng)`` pair per request.  All parts
-        share a single sampler batch — one denoiser forward per DDIM step
-        for the whole group instead of one per request — but every part
-        draws its initial latents and per-step noise from its *own*
-        generator (:class:`_SegmentedRNG`).  Guidance, repair and decoding
-        run once over the whole group; state repair runs per part with
-        that part's rng.
+        share each sampler batch — one denoiser forward per DDIM step for
+        the whole group instead of one per request — but every part draws
+        its initial latents and per-step noise from its *own* generator
+        (:meth:`sample_latents`).  Guidance, repair and decoding run once
+        over the whole group; state repair runs per part with that part's
+        rng.
 
         Determinism contract (pinned by ``tests/test_serve.py``): each
         part's flows are byte-identical to a solo
         ``generate_raw(class_name, count, rng=rng)`` call with the same
-        options — whatever the other parts in the group are, and in
-        whatever order they appear.  This is what lets the serving tier
-        micro-batch concurrent requests without perturbing any single
-        request's output.  A part may not exceed ``generation_batch``
-        (``generate_raw`` would split it into several batches).
+        options — whatever the other parts in the group are, in whatever
+        order they appear, and whatever their size: a part above
+        ``generation_batch`` splits exactly as ``generate_raw`` splits it.
+        This is what lets the serving tier micro-batch concurrent requests
+        without perturbing any single request's output.
         """
-        self._require_fitted()
-        if class_name not in self.class_masks:
-            raise KeyError(f"unknown class {class_name!r}")
         if not parts:
             raise ValueError("parts must be non-empty")
-        counts = [int(count) for count, _ in parts]
-        cfg = self.config
-        if any(not 1 <= count <= cfg.generation_batch for count in counts):
-            raise ValueError(
-                f"every part count must lie in [1, {cfg.generation_batch}]")
-        steps = steps or cfg.ddim_steps
-        weight = (
-            cfg.guidance_weight if guidance_weight is None
-            else guidance_weight
+        results = self._generate(
+            class_name, list(parts), steps=steps, use_control=use_control,
+            hard_guidance=hard_guidance, guidance_weight=guidance_weight,
+            state_repair=state_repair, dtype=dtype,
         )
-        prompt = self.codebook.prompt_for(class_name)
-        mask = self.class_masks.get(class_name) if use_control else None
-        total = sum(counts)
-        sampler = DDIMSampler(self.diffusion)
-        seg_rng = _SegmentedRNG([rng for _, rng in parts], counts)
-        with perf.timer("pipeline.sample_latents"):
-            perf.incr("pipeline.sample_batches")
-            eps = self._eps_model(prompt, total, mask, weight, dtype=dtype)
-            latents = sampler.sample(
-                eps, (total, self.codec.latent_dim), seg_rng,
-                steps=steps, dtype=dtype,
-            )
-        perf.incr("pipeline.sampled_flows", total)
         perf.incr("pipeline.coalesced_parts", len(parts))
-        # The codec decodes each part's rows on their own: a GEMM's
-        # rounding depends on its row count, and each part must match a
-        # solo run.  Everything after it is row-exact, so it runs once.
-        bounds = np.cumsum([0] + counts)
-        results: list[GenerationResult] = []
-        with perf.timer("pipeline.finalize_latents"):
-            vectors = np.concatenate([
-                self.codec.decode(latents[lo:hi])
-                for lo, hi in zip(bounds[:-1], bounds[1:])
-            ])
-            whole = self._emit(vectors, class_name, hard_guidance)
-            for (_, rng), lo, hi in zip(parts, bounds[:-1], bounds[1:]):
-                flows = whole.flows[lo:hi]
-                if state_repair:
-                    flows = repair_flows_state(flows, rng)
-                results.append(GenerationResult(
-                    flows=flows,
-                    matrices=whole.matrices[lo:hi],
-                    continuous=whole.continuous[lo:hi],
-                    gaps=whole.gaps[lo:hi],
-                    label=class_name,
-                ))
         return results
 
     def generate(
@@ -1157,8 +1062,8 @@ class TextToTrafficPipeline:
             )
             vectors = self._vectorize(matrices, gap_channels)
         latents = self.codec.encode(vectors)
-        labels = [class_name] * len(flows)
-        self._append_class_templates(matrices, class_name)
+        self._store_class_templates(*_structure_stats(matrices),
+                                    [class_name] * len(flows))
 
         adapters = inject_lora(self.denoiser, rank=rank, rng=self._rng)
         if not adapters:
@@ -1171,11 +1076,3 @@ class TextToTrafficPipeline:
             latents, prompts, optimizer, steps,
             use_control=False, masks=None, verbose=verbose, tag="lora",
         )
-
-    def _append_class_templates(
-        self, matrices: np.ndarray, class_name: str
-    ) -> None:
-        masks = np.stack([structure_mask(m) for m in matrices])
-        self.class_masks[class_name] = masks.mean(axis=0)
-        heights = [float((~np.all(m == -1, axis=1)).sum()) for m in matrices]
-        self.class_heights[class_name] = float(np.mean(heights))

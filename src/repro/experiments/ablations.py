@@ -21,7 +21,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.baselines.netshare import PerClassNetShare
-from repro.core.pipeline import PipelineConfig, TextToTrafficPipeline
+from repro.core.pipeline import (
+    PipelineConfig,
+    TextToTrafficPipeline,
+    _structure_stats,
+)
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.data import fit_forest, fit_pipeline, get_context
 from repro.experiments.figure2 import expected_protocols, flow_compliance
@@ -327,7 +331,8 @@ def _full_finetune(
     latents = pipeline.codec.encode(
         pipeline._vectorize(matrices, gap_channels)
     )
-    pipeline._append_class_templates(matrices, class_name)
+    pipeline._store_class_templates(*_structure_stats(matrices),
+                                    [class_name] * len(flows))
     params = pipeline.denoiser.parameters() + pipeline.prompt_encoder.parameters()
     optimizer = Adam(params, lr=cfg.learning_rate)
     pipeline._training_loop(

@@ -77,17 +77,19 @@ class TestGoldenParity:
         prompt = fitted.codebook.prompt_for("netflix")
         mask = fitted.class_masks["netflix"]
         legacy = _legacy_eps_model(fitted, prompt, 6, mask, guidance_weight)
-        fast = fitted._eps_model(prompt, 6, mask, guidance_weight)
         z_legacy = _sample(fitted, legacy, 6, 10, seed=21)
-        z_fast = _sample(fitted, fast, 6, 10, seed=21)
+        z_fast = fitted.sample_latents(
+            "netflix", 6, steps=10, guidance_weight=guidance_weight,
+            rng=np.random.default_rng(21))
         assert np.array_equal(z_legacy, z_fast)
 
     def test_latents_bitwise_identical_without_control(self, fitted):
         prompt = fitted.codebook.prompt_for("teams")
         legacy = _legacy_eps_model(fitted, prompt, 4, None, 2.0)
-        fast = fitted._eps_model(prompt, 4, None, 2.0)
         z_legacy = _sample(fitted, legacy, 4, 8, seed=5)
-        z_fast = _sample(fitted, fast, 4, 8, seed=5)
+        z_fast = fitted.sample_latents(
+            "teams", 4, steps=8, guidance_weight=2.0, use_control=False,
+            rng=np.random.default_rng(5))
         assert np.array_equal(z_legacy, z_fast)
 
     def test_sample_latents_deterministic_given_rng(self, fitted):

@@ -21,6 +21,7 @@ the autograd tape) are the oracle it is held to.  Guarantees pinned here:
 """
 
 import copy
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -122,6 +123,13 @@ def _tape_latents(pipeline, class_name, n, steps, rng, dtype=None,
     return np.concatenate(out)
 
 
+def _generate_from(pipeline, class_name, latents, rng):
+    """``generate_raw`` emitting ``latents`` instead of its own draw."""
+    with mock.patch.object(pipeline, "sample_latents",
+                           return_value=latents):
+        return pipeline.generate_raw(class_name, len(latents), rng=rng)
+
+
 def _latents(pipeline, mode, n=6, steps=8, seed=21, dtype=None, **kwargs):
     """``mode='eager'``: the module-forward oracle; ``'compiled'``: the
     pipeline's own sampler."""
@@ -185,7 +193,7 @@ class TestBitwiseParity:
         rng = np.random.default_rng(11)
         latents = _tape_latents(fitted, "netflix", 4,
                                 fitted.config.ddim_steps, rng)
-        ref_flows = fitted._finalize_latents(latents, "netflix", rng=rng)
+        ref_flows = _generate_from(fitted, "netflix", latents, rng)
         assert len(flows) == len(ref_flows.flows)
         for a, b in zip(flows, ref_flows.flows):
             assert [p.to_bytes() for p in a.packets] == \
@@ -456,7 +464,6 @@ class TestFallback:
         for merged in (False, True):
             if merged:
                 assert merge_lora(lora_pipe.denoiser) > 0
-                lora_pipe._invalidate_cast_cache()
             compiles0 = perf.counter("infer.compile")
             got = lora_pipe.generate_raw(
                 "zoom", 5, steps=6, rng=np.random.default_rng(4))
@@ -466,7 +473,7 @@ class TestFallback:
             assert engine._exact_rows is not merged
             rng = np.random.default_rng(4)
             latents = _tape_latents(lora_pipe, "zoom", 5, 6, rng)
-            ref = lora_pipe._finalize_latents(latents, "zoom", rng=rng)
+            ref = _generate_from(lora_pipe, "zoom", latents, rng)
             assert np.array_equal(got.matrices, ref.matrices)
             assert np.array_equal(got.continuous, ref.continuous)
             for dtype in (None, np.float32):
@@ -478,6 +485,30 @@ class TestFallback:
                         _tape_latents(lora_pipe, "zoom", n, 4,
                                       np.random.default_rng(n), dtype=dtype),
                     )
+
+    @pytest.mark.parametrize("dtype", [None, np.float32])
+    def test_merge_lora_rebuilds_warm_engine(self, fitted, dtype):
+        """merge_lora swaps modules under a warm engine (and fp32 clones):
+        the next sample runs the merged tree, as a fresh engine would."""
+        lora_pipe = copy.deepcopy(fitted)
+        lora_pipe.add_class(
+            "zoom", generate_app_flows("zoom", 6, seed=5), rank=2, steps=10)
+
+        def sample():
+            return lora_pipe.sample_latents(
+                "zoom", 5, steps=6, dtype=dtype, rng=np.random.default_rng(4))
+
+        unmerged = sample()
+        assert merge_lora(lora_pipe.denoiser) > 0
+        compiles0 = perf.counter("infer.compile")
+        merged = sample()
+        rebuilt = perf.counter("infer.compile") - compiles0
+        lora_pipe._invalidate_cast_cache()
+        fresh = sample()
+        assert np.array_equal(merged, fresh)
+        assert rebuilt == 1
+        # The merge moves the bits, so the check above can tell.
+        assert not np.array_equal(unmerged, fresh)
 
     def test_non_constant_timestep_rejected(self, fitted):
         engine = compile_denoiser(

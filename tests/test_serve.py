@@ -169,12 +169,54 @@ class TestRequestBounds:
         finally:
             service.shutdown(drain=False)
 
-    def test_coalesced_part_above_generation_batch_rejected(self, fitted):
-        limit = fitted.config.generation_batch
-        with pytest.raises(ValueError, match="part count"):
-            fitted.generate_coalesced(
-                "netflix", [(1, request_rng(7, 0)),
-                            (limit + 1, request_rng(7, 1))])
+    @staticmethod
+    def _coalesced_and_solo(fitted, **options):
+        """Parts ``[2B+8, 5, B+1, 1, B]`` coalesced, each with its solo
+        ``generate_raw`` under the same rng."""
+        b = fitted.config.generation_batch
+        counts = [2 * b + 8, 5, b + 1, 1, b]
+        results = fitted.generate_coalesced(
+            "netflix",
+            [(count, request_rng(7, i)) for i, count in enumerate(counts)],
+            **options,
+        )
+        assert [len(r.flows) for r in results] == counts
+        return [
+            (result, fitted.generate_raw(
+                "netflix", count, rng=request_rng(7, i), **options))
+            for i, (count, result) in enumerate(zip(counts, results))
+        ]
+
+    @pytest.mark.parametrize("state_repair", [False, True])
+    @pytest.mark.parametrize("guidance_weight", [2.0, 0.0])
+    def test_coalesced_parts_of_any_size_equal_solo_generate_raw(
+        self, fitted, guidance_weight, state_repair
+    ):
+        """Parts above ``generation_batch`` split exactly as a solo
+        ``generate_raw`` splits them, so each part keeps its solo bytes."""
+        for result, solo in self._coalesced_and_solo(
+            fitted, guidance_weight=guidance_weight,
+            state_repair=state_repair,
+        ):
+            assert _pcap_bytes(result.flows) == _pcap_bytes(solo.flows)
+            assert np.array_equal(result.matrices, solo.matrices)
+
+    @pytest.mark.parametrize("state_repair", [False, True])
+    @pytest.mark.parametrize("guidance_weight", [2.0, 0.0])
+    def test_coalesced_float32_parts_match_solo_to_rounding(
+        self, fitted, guidance_weight, state_repair
+    ):
+        """At float32 a part's rows sit at other positions of a wider
+        sampler batch than alone, and OpenBLAS sgemm rounds by row
+        position when the output width is 16k+1..3 or 16k+5..7 (the
+        latent width here is 23).  Parts then agree with their solo run
+        to float32 rounding, not bitwise."""
+        for result, solo in self._coalesced_and_solo(
+            fitted, dtype=np.float32, guidance_weight=guidance_weight,
+            state_repair=state_repair,
+        ):
+            np.testing.assert_allclose(result.continuous, solo.continuous,
+                                       rtol=1e-4, atol=1e-4)
 
     def test_count_above_max_batch_flows_rejected(self, fitted):
         service = _service(fitted, autostart=False, max_batch_flows=4)
@@ -238,6 +280,29 @@ class TestCoalescing:
         assert perf.counter("pipeline.sample_batches") == 1
         assert perf.counter("denoiser.forward") == fitted.config.ddim_steps
         assert perf.counter("serve.completed") == 4
+
+    def test_entry_points_report_equal_sampling_counters(self, fitted):
+        """One sampler behind every entry point: the same flows cost the
+        same sampler batches and denoiser forwards however they are
+        asked for."""
+        b = fitted.config.generation_batch
+        n = 2 * b + 3
+        names = ("pipeline.sample_batches", "pipeline.sampled_flows",
+                 "denoiser.forward")
+        calls = {
+            "raw": lambda rng: fitted.generate_raw("netflix", n, rng=rng),
+            "stream": lambda rng: list(fitted.generate_stream(
+                "netflix", n, chunk=b, rng=rng)),
+            "coalesced": lambda rng: fitted.generate_coalesced(
+                "netflix", [(n, rng)]),
+        }
+        counters = {}
+        for name, call in calls.items():
+            perf.reset()
+            call(np.random.default_rng(3))
+            counters[name] = [perf.counter(c) for c in names]
+        assert counters["raw"] == counters["stream"] == counters["coalesced"]
+        assert counters["raw"] == [3, n, 3 * fitted.config.ddim_steps]
 
     def test_batch_respects_max_batch_flows(self, fitted):
         service = _service(fitted, autostart=False, max_batch_flows=4)
